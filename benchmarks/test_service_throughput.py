@@ -186,7 +186,7 @@ def test_service_throughput():
     total = 3 * len(workload)
     mixed_qps = total / (cold_s + warm_s + concurrent_s)
     info = engine.cache_info()
-    assert info["hits"] >= 2 * len(workload)
+    assert info.hits >= 2 * len(workload)
 
     def _qps(elapsed: float) -> float:
         return round(len(workload) / elapsed, 1)

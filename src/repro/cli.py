@@ -64,7 +64,10 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--full-study",
         action="store_true",
-        help="simulate the whole 2014-2019 production period (hourly)",
+        help=(
+            "use the canonical six-year dataset: the whole 2014-2019 "
+            "production period, hourly (--days/--seed/--dt are ignored)"
+        ),
     )
     simulate.add_argument(
         "--inject-faults",
@@ -83,14 +86,18 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--full-study",
         action="store_true",
-        help="use the canonical six-year dataset (slower, exact paper scope)",
+        help=(
+            "use the canonical six-year dataset (slower, exact paper "
+            "scope; --days/--seed are ignored)"
+        ),
     )
     report.add_argument(
         "--workers",
         type=int,
         default=None,
         help=(
-            "process-pool size for the figure sections (default: "
+            "process-pool size for the --windows synthesis and lead "
+            "sweep; figure sections always run in-process (default: "
             "REPRO_WORKERS or all cores; 1 = serial; tables are "
             "byte-identical either way)"
         ),
@@ -143,7 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "process-pool size for the report pipeline (default: "
+            "process-pool size for the window synthesis and lead sweep; "
+            "figure sections always run in-process (default: "
             "REPRO_WORKERS or all cores; 1 = serial)"
         ),
     )
@@ -367,22 +375,49 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.simulation import FacilityEngine, MiraScenario
-    from repro.telemetry.export import export_ras_jsonl, export_telemetry_csv
+def _dataset_config(args: argparse.Namespace):
+    """The :class:`SimulationConfig` a command's dataset arguments name.
 
-    if args.full_study:
-        config = MiraScenario.full_study(seed=args.seed)
+    ``--full-study`` always names the canonical six-year realization
+    (the :func:`~repro.simulation.datasets.canonical_dataset` config),
+    so every command that takes it reads the same dataset.
+    """
+    import dataclasses
+
+    from repro.simulation import MiraScenario
+
+    if getattr(args, "full_study", False):
+        config = MiraScenario.full_study()
     else:
-        config = MiraScenario.demo(days=args.days, seed=args.seed, dt_s=args.dt)
-    if args.inject_faults:
-        import dataclasses
-
+        step = {"dt_s": args.dt} if "dt" in args else {}
+        config = MiraScenario.demo(days=args.days, seed=args.seed, **step)
+    if getattr(args, "inject_faults", False):
         from repro.faults import FaultConfig
 
         config = dataclasses.replace(config, faults=FaultConfig())
-    print(f"simulating {config.start} .. {config.end} at dt={config.dt_s:.0f}s ...")
-    result = FacilityEngine(config).run()
+    return config
+
+
+def _dataset(args: argparse.Namespace):
+    """The command's realization, read through the dataset cache.
+
+    The announcement is the same whether the cache hits or not, so a
+    warm run prints exactly what the cold run printed.
+    """
+    from repro.simulation.datasets import build_dataset
+
+    config = _dataset_config(args)
+    print(
+        f"dataset {config.start:%Y-%m-%d} .. {config.end:%Y-%m-%d} at "
+        f"dt={config.dt_s:.0f}s (seed {config.seed}) ..."
+    )
+    return build_dataset(config)
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.telemetry.export import export_ras_jsonl, export_telemetry_csv
+
+    result = _dataset(args)
     if result.fault_truth is not None:
         print(result.fault_truth.summary())
         print(f"ingest counters: {result.database.counters.as_dict()}")
@@ -407,17 +442,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.core.experiments import full_report
     from repro.core.report import format_table
     from repro.parallel import resolve_workers
-    from repro.simulation import FacilityEngine, MiraScenario
-    from repro.simulation.datasets import canonical_dataset
 
-    if args.full_study:
-        print("building the canonical six-year dataset ...")
-        result = canonical_dataset()
-    else:
-        print(f"simulating {args.days} days (seed {args.seed}) ...")
-        result = FacilityEngine(
-            MiraScenario.demo(days=args.days, seed=args.seed)
-        ).run()
+    result = _dataset(args)
     workers = resolve_workers(args.workers)
     print(f"building the report on {workers} worker{'s' if workers != 1 else ''} ...")
     section_cache = False if args.no_section_cache else None
@@ -455,10 +481,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     from repro.core.prediction import sweep_leads
     from repro.parallel import resolve_workers
-    from repro.simulation import FacilityEngine, MiraScenario, WindowSynthesizer
+    from repro.simulation import WindowSynthesizer
 
-    print(f"simulating {args.days} days (seed {args.seed}) ...")
-    result = FacilityEngine(MiraScenario.demo(days=args.days, seed=args.seed)).run()
+    result = _dataset(args)
     if result.schedule is None or not result.schedule.events:
         print("no CMF events in the simulated period; try more days")
         return 1
@@ -544,36 +569,18 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.core.validation import validate_result
-    from repro.simulation import FacilityEngine, MiraScenario
 
-    print(f"simulating {args.days} days (seed {args.seed}) ...")
-    result = FacilityEngine(MiraScenario.demo(days=args.days, seed=args.seed)).run()
+    result = _dataset(args)
     scorecard = validate_result(result)
     print(scorecard.summary())
     return 0 if scorecard.passed else 1
-
-
-def _simulated_database(days: int, seed: int, dt_s: float, faults: bool = False):
-    import dataclasses
-
-    from repro.simulation import FacilityEngine, MiraScenario
-
-    config = MiraScenario.demo(days=days, seed=seed, dt_s=dt_s)
-    if faults:
-        from repro.faults import FaultConfig
-
-        config = dataclasses.replace(config, faults=FaultConfig())
-    print(f"simulating {config.start} .. {config.end} at dt={config.dt_s:.0f}s ...")
-    return FacilityEngine(config).run()
 
 
 def _cmd_serve_replay(args: argparse.Namespace) -> int:
     from repro.service import LiveOperationsService, Query, ServiceConfig
     from repro.telemetry.records import Channel
 
-    result = _simulated_database(
-        args.days, args.seed, args.dt, faults=args.inject_faults
-    )
+    result = _dataset(args)
     speedup = args.speedup if args.speedup > 0 else float("inf")
     service = LiveOperationsService(
         result.database,
@@ -650,7 +657,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         columns = ", ".join(ch.column for ch in Channel)
         print(f"unknown channel {args.channel!r}; choose one of: {columns}")
         return 1
-    result = _simulated_database(args.days, args.seed, args.dt)
+    result = _dataset(args)
     store = RollupStore.from_database(result.database)
     engine = QueryEngine(store)
     start = result.start_epoch_s + args.start_day * timeutil.DAY_S
@@ -713,7 +720,7 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
             archive_dir = args.archive
             cleanup = None
         else:
-            result = _simulated_database(args.days, args.seed, args.dt)
+            result = _dataset(args)
             cleanup = tempfile.TemporaryDirectory(prefix="repro-http-")
             archive_dir = Path(cleanup.name) / "archive"
             TelemetryArchive.save(result.database, archive_dir)
@@ -741,8 +748,15 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
 
     if args.archive is not None:
         database = TelemetryArchive.load(args.archive, mmap=True)
+    elif args.no_ingest:
+        database = _dataset(args).database
     else:
-        database = _simulated_database(args.days, args.seed, args.dt).database
+        from repro.simulation import FacilityEngine
+
+        # The one command that runs the engine itself: ingest appends to
+        # the served database, and a dataset-cache hit would hand back
+        # the read-only archive view, which refuses appends.
+        database = FacilityEngine(_dataset_config(args)).run().database
     ingest = None if args.no_ingest else IngestServerConfig(tokens=tokens)
     app = OperationsApp.from_database(
         database, cache_size=args.cache_size, ingest=ingest

@@ -19,7 +19,7 @@ from repro.core.aftermath import analyze_aftermath
 from repro.core.environment import ambient_spatial, ambient_trends
 from repro.core.failure_analysis import analyze_cmfs
 from repro.core.leadup import aggregate_leadup
-from repro.core.prediction import evaluate_at_leads
+from repro.core.prediction import sweep_leads
 from repro.core.report import ReportRow, format_value
 from repro.core.spatial import rack_coolant_profile, rack_power_profile
 from repro.core.trends import (
@@ -262,7 +262,7 @@ def fig13_rows(
     negative_windows: Sequence[LeadupWindow],
     workers: Optional[int] = None,
 ) -> List[ReportRow]:
-    evaluations = evaluate_at_leads(
+    evaluations = sweep_leads(
         positive_windows, negative_windows, leads_h=(6.0, 3.0, 0.5),
         workers=workers,
     )
@@ -312,11 +312,11 @@ def _rack(pair: Tuple[int, int]):
     return RackId(*pair)
 
 
-# -- parallel dispatch -------------------------------------------------------
+# -- report assembly ---------------------------------------------------------
 
-#: Canonical section order: (title, per-section builder).  Each entry is
-#: an independent task for the process pool; the assembled report dict
-#: always iterates in this order regardless of completion order.
+#: Canonical section order: (title, per-section builder).  Each builder
+#: is a pure function of the simulation result; the assembled report
+#: dict always iterates in this order.
 SECTION_BUILDERS: Tuple[Tuple[str, Callable[[SimulationResult], List[ReportRow]]], ...] = (
     ("Fig 2 — year-over-year power and utilization", fig2_rows),
     ("Fig 3 — coolant flow and temperatures", fig3_rows),
@@ -337,12 +337,13 @@ _BUILDERS_BY_NAME = {fn.__name__: fn for _, fn in SECTION_BUILDERS}
 
 #: Worker-side memo: archive directory -> reassembled result, so one
 #: worker process reopens the memory-mapped telemetry once however many
-#: tasks it executes.  Keyed by path; populated lazily in each worker.
+#: window shards it synthesizes.  Keyed by path; populated lazily in
+#: each worker.
 _WORKER_RESULTS: Dict[str, SimulationResult] = {}
 
 
 def _result_spec(result: SimulationResult, workers: int):
-    """How to hand ``result`` to a task.
+    """How to hand ``result`` to a window-synthesis task.
 
     With one worker everything runs in-process, so the result object is
     passed through untouched.  With a pool, the telemetry is
@@ -385,19 +386,15 @@ def _resolve_spec(spec) -> SimulationResult:
 
 
 def _report_task(spec, task):
-    """One unit of parallel report work (must stay module-level picklable).
+    """One window-synthesis shard (must stay module-level picklable).
 
-    ``task`` is ``("section", builder_name)``,
-    ``("positives", lo, hi)``, or ``("negatives", count, lo, hi)``; the
-    window slices are bit-identical to the serial synthesis because
-    window *i*'s noise depends only on its index (see
-    :class:`~repro.simulation.windows.WindowSynthesizer`).
+    ``task`` is ``("positives", lo, hi)`` or
+    ``("negatives", count, lo, hi)``; the slices are bit-identical to
+    the serial synthesis because window *i*'s noise depends only on its
+    index (see :class:`~repro.simulation.windows.WindowSynthesizer`).
     """
-    result = _resolve_spec(spec)
+    synthesizer = WindowSynthesizer(_resolve_spec(spec))
     kind = task[0]
-    if kind == "section":
-        return _BUILDERS_BY_NAME[task[1]](result)
-    synthesizer = WindowSynthesizer(result)
     if kind == "positives":
         return synthesizer.positive_windows(task[1], task[2])
     if kind == "negatives":
@@ -414,6 +411,24 @@ def _chunk_bounds(total: int, chunks: int) -> List[Tuple[int, int]]:
         for i in range(chunks)
         if edges[i + 1] > edges[i]
     ]
+
+
+def _synthesize_windows(
+    result: SimulationResult, total: int, workers: int
+) -> Tuple[List[LeadupWindow], List[LeadupWindow]]:
+    """The positive and negative windows, sharded over the pool."""
+    bounds = _chunk_bounds(total, workers * 4)
+    tasks = [("positives", lo, hi) for lo, hi in bounds]
+    tasks += [("negatives", total, lo, hi) for lo, hi in bounds]
+    workers = min(workers, len(tasks))
+    spec = _result_spec(result, workers)
+    outputs = pstarmap(
+        _report_task, [(spec, task) for task in tasks], workers=workers, chunksize=1
+    )
+    half = len(bounds)
+    positives = [w for chunk in outputs[:half] for w in chunk]
+    negatives = [w for chunk in outputs[half:] for w in chunk]
+    return positives, negatives
 
 
 def _resolve_section_store(section_cache):
@@ -440,9 +455,7 @@ def _compute_incremental_sections(
 
     Each needed state blob is loaded once, revalidated against the
     store's chunk prefix, advanced (folding only appended rows when
-    the prefix held), re-published, and finalized per section.  Runs
-    in the parent: the folds are vectorized slices over (possibly
-    memory-mapped) columns, far cheaper than a worker round-trip.
+    the prefix held), re-published, and finalized per section.
     """
     from repro.analytics.incremental.sections import (
         INCREMENTAL_SECTIONS,
@@ -452,20 +465,19 @@ def _compute_incremental_sections(
     database = result.database
     payloads: Dict[str, Dict] = {}
     for state_id in sorted({INCREMENTAL_SECTIONS[n].state_id for n in names}):
-        prior = store.load_state(state_id, cfg_digest) if store else None
+        prior = store.load_state(state_id, cfg_digest)
         state, outcome = advance_state(database, state_id, prior, digest_info)
-        if store is not None:
-            counters = store.counters
-            if outcome == "hit":
-                counters.state_hits += 1
-            elif outcome == "append":
-                counters.state_appends += 1
-            elif outcome == "invalidated":
-                counters.invalidations += 1
-            else:
-                counters.state_misses += 1
-            if outcome != "hit":
-                store.store_state(state_id, cfg_digest, state)
+        counters = store.counters
+        if outcome == "hit":
+            counters.state_hits += 1
+        elif outcome == "append":
+            counters.state_appends += 1
+        elif outcome == "invalidated":
+            counters.invalidations += 1
+        else:
+            counters.state_misses += 1
+        if outcome != "hit":
+            store.store_state(state_id, cfg_digest, state)
         payloads[state_id] = state.payload
     return {
         name: INCREMENTAL_SECTIONS[name].finalize(
@@ -485,24 +497,24 @@ def full_report(
 ) -> Dict[str, List[ReportRow]]:
     """All figures' comparisons, keyed by a section title.
 
-    Every figure section is an independent task fanned out over a
-    process pool (:func:`repro.parallel.pstarmap`); the assembled
-    report is bit-identical at any worker count, and ``workers=1``
-    runs the exact same task functions serially in-process.
+    The ten figure sections are built in-process: they are vectorized
+    passes over the telemetry, cheaper than any worker round-trip.
 
     The Fig 12/13 sections are included when windows are given, or
     when ``synthesize_windows`` asks the report to build them itself —
     in which case the 300 s window synthesis (the dominant serial
-    cost) is sharded across the pool too.
+    cost) is sharded over a process pool
+    (:func:`repro.parallel.pstarmap`), as is the Fig 13 lead sweep.
+    The assembled report is bit-identical at any worker count.
 
     With the section memo store enabled (the default; see
     :mod:`repro.analytics.incremental`), every section is looked up by
-    the dataset's content address *before* any task is dispatched:
-    memoized sections are served from disk, sections with an
-    incremental reducer fold only rows appended since their cached
-    watermark, and only genuinely new work reaches the pool.  Cached
-    and fresh builds are pinned equal (exact discrete values, <= 1e-12
-    floats) by ``tests/test_incremental_report.py``.
+    the dataset's content address first: memoized sections are served
+    from disk, sections with an incremental reducer fold only rows
+    appended since their cached watermark, and only the remaining
+    misses run their builders.  Cached and fresh builds are pinned
+    equal (exact discrete values, <= 1e-12 floats) by
+    ``tests/test_incremental_report.py``.
 
     Args:
         result: The simulation to report on.
@@ -511,7 +523,8 @@ def full_report(
             never memoized — their content is the caller's, not
             derivable from the dataset address.
         negative_windows: Pre-built negative-class windows (optional).
-        workers: Pool size (see :func:`repro.parallel.resolve_workers`).
+        workers: Pool size for window synthesis and the lead sweep
+            (see :func:`repro.parallel.resolve_workers`).
         synthesize_windows: Build the Fig 12/13 windows in-report when
             none were passed.
         section_cache: ``None`` (default) uses the process-wide memo
@@ -530,8 +543,6 @@ def full_report(
     memo_rows: Dict[str, List[ReportRow]] = {}
     incremental_names: List[str] = []
     keys: Dict[str, object] = {}
-    digest_info = None
-    cfg_digest = ""
     if store is not None:
         from repro.analytics.incremental.memo import (
             CONFIG_ONLY_ROOT,
@@ -562,66 +573,32 @@ def full_report(
                 memo_rows[section_id] = rows
             elif section_id in INCREMENTAL_SECTIONS:
                 incremental_names.append(section_id)
-
-    pool_section_names = [
-        fn.__name__
-        for _, fn in SECTION_BUILDERS
-        if fn.__name__ not in memo_rows and fn.__name__ not in incremental_names
-    ]
-    section_tasks = [("section", name) for name in pool_section_names]
-    count = resolve_workers(workers, max_tasks=None)
-    need_windows = synthesize and not (
-        "fig12_rows" in memo_rows and "fig13_rows" in memo_rows
-    )
-    window_tasks: List[Tuple] = []
-    if need_windows:
-        for lo, hi in _chunk_bounds(positives_total, count * 4):
-            window_tasks.append(("positives", lo, hi))
-        for lo, hi in _chunk_bounds(positives_total, count * 4):
-            window_tasks.append(("negatives", positives_total, lo, hi))
-    # Window chunks lead the task list: they are the long poles, so
-    # they should hit the pool first.
-    tasks = window_tasks + section_tasks
-    if tasks:
-        count = min(count, len(tasks))
-        spec = _result_spec(result, count)
-        outputs = pstarmap(
-            _report_task,
-            [(spec, task) for task in tasks],
-            workers=count,
-            chunksize=1,
-        )
-    else:
-        outputs = []
-
-    section_rows = outputs[len(window_tasks):]
-    pool_by_name = dict(zip(pool_section_names, section_rows))
-    if store is not None:
-        for name, rows in pool_by_name.items():
-            store.store_rows(keys[name], rows)
-    if incremental_names:
-        memo_rows.update(
-            _compute_incremental_sections(
-                result, incremental_names, store, digest_info, cfg_digest
+        if incremental_names:
+            memo_rows.update(
+                _compute_incremental_sections(
+                    result, incremental_names, store, digest_info, cfg_digest
+                )
             )
-        )
-        if store is not None:
             for name in incremental_names:
                 store.store_rows(keys[name], memo_rows[name])
 
     sections: Dict[str, List[ReportRow]] = {}
     for title, fn in SECTION_BUILDERS:
         name = fn.__name__
-        sections[title] = memo_rows[name] if name in memo_rows else pool_by_name[name]
+        if name not in memo_rows:
+            memo_rows[name] = _BUILDERS_BY_NAME[name](result)
+            if store is not None:
+                store.store_rows(keys[name], memo_rows[name])
+        sections[title] = memo_rows[name]
 
+    count = resolve_workers(workers)
+    need_windows = synthesize and not (
+        "fig12_rows" in memo_rows and "fig13_rows" in memo_rows
+    )
     if need_windows:
-        n_pos_chunks = len(window_tasks) // 2
-        positive_windows = [
-            w for chunk in outputs[:n_pos_chunks] for w in chunk
-        ]
-        negative_windows = [
-            w for chunk in outputs[n_pos_chunks : len(window_tasks)] for w in chunk
-        ]
+        positive_windows, negative_windows = _synthesize_windows(
+            result, positives_total, count
+        )
     if positive_windows is not None or (synthesize and not need_windows):
         if "fig12_rows" in memo_rows:
             sections[FIG12_TITLE] = memo_rows["fig12_rows"]

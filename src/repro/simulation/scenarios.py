@@ -2,20 +2,18 @@
 
 from __future__ import annotations
 
-import dataclasses
 import datetime as dt
 from typing import Optional
 
-from repro import constants
 from repro.simulation.config import SimulationConfig
-from repro.simulation.engine import FacilityEngine, SimulationResult
 
 
 class MiraScenario:
     """Named configurations of the six-year Mira study.
 
     Use the constructors to get a :class:`SimulationConfig`, tweak it
-    with :func:`dataclasses.replace` if needed, then :meth:`run` it.
+    with :func:`dataclasses.replace` if needed, then build it with
+    :func:`repro.simulation.datasets.build_dataset`.
     """
 
     @staticmethod
@@ -60,8 +58,3 @@ class MiraScenario:
             seed=seed,
             dt_s=dt_s,
         )
-
-    @staticmethod
-    def run(config: SimulationConfig) -> SimulationResult:
-        """Build an engine for ``config`` and execute it."""
-        return FacilityEngine(config).run()

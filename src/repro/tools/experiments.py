@@ -40,7 +40,7 @@ def write_experiments_md(
 ) -> Path:
     """Build the full report and write the markdown file.
 
-    The figure sections and the 300 s window synthesis fan out over a
+    The 300 s window synthesis and the lead sweep fan out over a
     process pool (see :func:`repro.core.experiments.full_report`); the
     file is byte-identical at any worker count.
     """

@@ -1,8 +1,17 @@
 """The command-line interface."""
 
+import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.simulation.datasets import CACHE_DIR_ENV, CACHE_ENV
+
+
+@pytest.fixture(autouse=True)
+def _private_dataset_cache(tmp_path, monkeypatch):
+    """Every command reads through the dataset cache; keep its entries
+    out of the user's real cache directory."""
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "dataset-cache"))
 
 
 class TestParsing:
@@ -258,3 +267,125 @@ class TestReportWorkers:
         # The banner names the worker count; everything below it must
         # be byte-identical.
         assert serial.split(" ...\n", 2)[2] == parallel.split(" ...\n", 2)[2]
+
+
+class TestDatasetEntryPoint:
+    """Every command reads its realization through ``build_dataset``."""
+
+    @pytest.fixture
+    def engine_runs(self, monkeypatch):
+        from repro.simulation.engine import FacilityEngine
+
+        monkeypatch.setenv(CACHE_ENV, "1")
+        calls = []
+        run = FacilityEngine.run
+
+        def counting_run(engine):
+            calls.append(engine.config)
+            return run(engine)
+
+        monkeypatch.setattr(FacilityEngine, "run", counting_run)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--days", "3", "--seed", "3", "--dt", "3600"],
+            ["report", "--days", "20", "--seed", "11", "--workers", "1"],
+            ["predict", "--days", "60", "--seed", "5", "--workers", "1"],
+            ["validate", "--days", "20", "--seed", "7"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_warm_run_skips_engine_and_prints_the_same(
+        self, argv, engine_runs, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        if argv[0] == "simulate":
+            argv = argv + ["--out", str(out)]
+        passes = []
+        for _ in range(2):
+            before = len(engine_runs)
+            code = main(argv)
+            exported = {
+                name: (out / name).read_bytes()
+                for name in ("telemetry.csv", "ras.jsonl")
+                if (out / name).exists()
+            }
+            passes.append(
+                (code, capsys.readouterr().out, exported, len(engine_runs) - before)
+            )
+        cold_code, cold_out, cold_files, cold_runs = passes[0]
+        warm_code, warm_out, warm_files, warm_runs = passes[1]
+        assert cold_runs == 1
+        assert warm_runs == 0
+        assert warm_code == cold_code
+        assert warm_out == cold_out
+        assert warm_files == cold_files
+        if argv[0] == "simulate":
+            assert set(cold_files) == {"telemetry.csv", "ras.jsonl"}
+
+    def test_full_study_names_one_realization(self, monkeypatch, tmp_path):
+        from repro.simulation import MiraScenario
+        from repro.simulation import datasets
+
+        class Resolved(Exception):
+            pass
+
+        configs = []
+
+        def capture(config):
+            configs.append(config)
+            raise Resolved
+
+        monkeypatch.setattr(datasets, "build_dataset", capture)
+        for argv in (
+            ["simulate", "--full-study", "--out", str(tmp_path)],
+            ["simulate", "--full-study", "--seed", "3", "--out", str(tmp_path)],
+            ["report", "--full-study"],
+        ):
+            with pytest.raises(Resolved):
+                main(argv)
+        canonical = MiraScenario.full_study()
+        assert configs == [canonical] * 3
+        entries = {datasets._config_digest(config) for config in configs}
+        assert entries == {datasets._config_digest(canonical)}
+
+    def test_ingest_server_never_gets_the_read_only_view(self, monkeypatch):
+        from repro.service.http import OperationsApp
+        from repro.simulation import MiraScenario
+        from repro.simulation.datasets import build_dataset
+        from repro.telemetry.archive import _ArchivedDatabase
+        from repro.telemetry.records import Channel
+
+        monkeypatch.setenv(CACHE_ENV, "1")
+        config = MiraScenario.demo(days=2, seed=7, dt_s=3600.0)
+        build_dataset(config)
+        # The cache now holds the config: a read through it is the
+        # read-only archive view.
+        assert isinstance(build_dataset(config).database, _ArchivedDatabase)
+
+        class Served(Exception):
+            pass
+
+        served = []
+
+        def capture(cls, database, **kwargs):
+            served.append((database, kwargs["ingest"]))
+            raise Served
+
+        monkeypatch.setattr(OperationsApp, "from_database", classmethod(capture))
+        argv = ["serve-http", "--days", "2", "--dt", "3600", "--port", "0"]
+        for extra in ([], ["--no-ingest"]):
+            with pytest.raises(Served):
+                main(argv + extra)
+        (ingest_db, ingest), (read_only_db, no_ingest) = served
+        assert ingest is not None and no_ingest is None
+        assert not isinstance(ingest_db, _ArchivedDatabase)
+        rows = ingest_db.num_samples
+        ingest_db.append_block(
+            ingest_db.epoch_s[-1:] + 3600.0,
+            {Channel.POWER: np.full((1, ingest_db.num_racks), 60.0)},
+        )
+        assert ingest_db.num_samples == rows + 1
+        assert isinstance(read_only_db, _ArchivedDatabase)
