@@ -1,9 +1,11 @@
 """Activation functions with their derivatives.
 
-Each activation is a small value object exposing ``forward`` and
-``backward``; ``backward`` takes the *pre-activation* input that was
-fed to ``forward`` (layers cache it) and returns the elementwise
-derivative.
+Each activation is a small value object exposing ``forward`` and its
+elementwise derivative.  Every activation here has a derivative that
+is a function of its own output, so layers cache the output of
+``forward`` and backpropagate through ``output_derivative`` without
+evaluating the activation a second time; ``derivative`` takes the
+pre-activation input instead.
 """
 
 from __future__ import annotations
@@ -20,7 +22,12 @@ class Activation:
 
     name: str
     forward: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray], np.ndarray]
+    #: The derivative at ``x`` as a function of ``forward(x)``.
+    output_derivative: Callable[[np.ndarray], np.ndarray]
+
+    def derivative(self, x: np.ndarray) -> np.ndarray:
+        """The derivative at the pre-activation input ``x``."""
+        return self.output_derivative(self.forward(x))
 
     def __repr__(self) -> str:
         return f"Activation({self.name})"
@@ -30,22 +37,20 @@ def _relu_forward(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def _relu_derivative(x: np.ndarray) -> np.ndarray:
-    return (x > 0.0).astype(x.dtype)
+def _relu_derivative(y: np.ndarray) -> np.ndarray:
+    return (y > 0.0).astype(y.dtype)
 
 
 def _sigmoid_forward(x: np.ndarray) -> np.ndarray:
-    # Numerically stable piecewise form.
-    out = np.empty_like(x, dtype="float64")
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[~positive])
-    out[~positive] = exp_x / (1.0 + exp_x)
-    return out
+    # Numerically stable piecewise form, 1 / (1 + e^-x) for x >= 0 and
+    # e^x / (1 + e^x) below, both written with e = exp(-|x|) so neither
+    # branch overflows (NaN falls through to the second and stays NaN).
+    e = np.exp(-np.abs(x))
+    denominator = 1.0 + e
+    return np.where(x >= 0, 1.0 / denominator, e / denominator)
 
 
-def _sigmoid_derivative(x: np.ndarray) -> np.ndarray:
-    s = _sigmoid_forward(x)
+def _sigmoid_derivative(s: np.ndarray) -> np.ndarray:
     return s * (1.0 - s)
 
 
@@ -53,8 +58,7 @@ def _tanh_forward(x: np.ndarray) -> np.ndarray:
     return np.tanh(x)
 
 
-def _tanh_derivative(x: np.ndarray) -> np.ndarray:
-    t = np.tanh(x)
+def _tanh_derivative(t: np.ndarray) -> np.ndarray:
     return 1.0 - t * t
 
 
@@ -62,8 +66,8 @@ def _identity_forward(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _identity_derivative(x: np.ndarray) -> np.ndarray:
-    return np.ones_like(x)
+def _identity_derivative(y: np.ndarray) -> np.ndarray:
+    return np.ones_like(y)
 
 
 #: Rectified linear unit — the paper's hidden-layer activation.

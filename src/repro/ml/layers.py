@@ -1,8 +1,8 @@
 """Network layers.
 
 Only dense (fully connected) layers are needed for the paper's MLP.
-Each layer caches its forward inputs so ``backward`` can compute
-parameter gradients without re-running the forward pass.
+Each layer caches its forward input and output so ``backward`` can
+compute parameter gradients without re-running the forward pass.
 """
 
 from __future__ import annotations
@@ -17,6 +17,14 @@ from repro.ml.activations import Activation, identity
 class Dense:
     """A fully connected layer: ``out = activation(x @ W + b)``.
 
+    The parameters live in one flat vector (weights row-major, then
+    biases) and the gradients in a second one of the same layout;
+    :attr:`weights`, :attr:`biases` and the gradient arrays are
+    reshaped views into them.  A :class:`~repro.ml.network.NeuralNetwork`
+    rebinds every layer onto slices of its own two vectors (see
+    :meth:`bind`), so optimizers update the whole model with a few
+    whole-vector operations.
+
     Args:
         input_size: Number of input features.
         output_size: Number of units.
@@ -25,7 +33,8 @@ class Dense:
 
     Attributes:
         weights: ``(input_size, output_size)`` parameter matrix.
-        biases: ``(output_size,)`` parameter vector.
+            Assigning to it copies into the bound storage.
+        biases: ``(output_size,)`` parameter vector (same rule).
     """
 
     def __init__(
@@ -41,22 +50,70 @@ class Dense:
             )
         rng = rng if rng is not None else np.random.default_rng(0)
         self.activation = activation if activation is not None else identity
+        self._shape = (input_size, output_size)
         scale = np.sqrt(2.0 / input_size)  # He initialization
-        self.weights = rng.standard_normal((input_size, output_size)) * scale
-        self.biases = np.zeros(output_size)
+        weights = rng.standard_normal(self._shape) * scale
+        self.bind(
+            np.concatenate([weights.ravel(), np.zeros(output_size)]),
+            np.zeros(self.parameter_count),
+        )
         self._cached_input: Optional[np.ndarray] = None
-        self._cached_preactivation: Optional[np.ndarray] = None
+        self._cached_output: Optional[np.ndarray] = None
+
+    def bind(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """Back this layer's arrays by flat ``params`` / ``grads`` vectors.
+
+        Both must be contiguous float64 vectors of
+        :attr:`parameter_count` elements; ``params`` already holds the
+        parameter values to use (nothing is copied).
+        """
+        size = self.parameter_count
+        if params.shape != (size,) or grads.shape != (size,):
+            raise ValueError(f"layer needs flat vectors of {size} elements")
+        split = self._shape[0] * self._shape[1]
+        self._weights = params[:split].reshape(self._shape)
+        self._biases = params[split:]
         #: Parameter gradients populated by backward().
-        self.grad_weights = np.zeros_like(self.weights)
-        self.grad_biases = np.zeros_like(self.biases)
+        self.grad_weights = grads[:split].reshape(self._shape)
+        self.grad_biases = grads[split:]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._weights
+
+    @weights.setter
+    def weights(self, value: np.ndarray) -> None:
+        self._assign(self._weights, value)
+
+    @property
+    def biases(self) -> np.ndarray:
+        return self._biases
+
+    @biases.setter
+    def biases(self, value: np.ndarray) -> None:
+        self._assign(self._biases, value)
+
+    @staticmethod
+    def _assign(view: np.ndarray, value: np.ndarray) -> None:
+        # Copy into the bound storage rather than rebinding the name: a
+        # replaced array would silently detach from the flat vectors.
+        value = np.asarray(value, dtype="float64")
+        if value.shape != view.shape:
+            raise ValueError(f"expected shape {view.shape}, got {value.shape}")
+        view[...] = value
 
     @property
     def input_size(self) -> int:
-        return self.weights.shape[0]
+        return self._shape[0]
 
     @property
     def output_size(self) -> int:
-        return self.weights.shape[1]
+        return self._shape[1]
+
+    @property
+    def parameter_count(self) -> int:
+        """Trainable scalars (weights and biases)."""
+        return (self._shape[0] + 1) * self._shape[1]
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         """Apply the layer to a batch of shape ``(n, input_size)``.
@@ -72,12 +129,13 @@ class Dense:
             raise ValueError(
                 f"expected {self.input_size} features, got {x.shape[1]}"
             )
-        pre = x @ self.weights
-        pre += self.biases
+        pre = x @ self._weights
+        pre += self._biases
+        out = self.activation.forward(pre)
         if train:
             self._cached_input = x
-            self._cached_preactivation = pre
-        return self.activation.forward(pre)
+            self._cached_output = out
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Backpropagate a gradient of shape ``(n, output_size)``.
@@ -88,22 +146,22 @@ class Dense:
         Raises:
             RuntimeError: if called before a ``forward(train=True)``.
         """
-        if self._cached_input is None or self._cached_preactivation is None:
+        if self._cached_input is None or self._cached_output is None:
             raise RuntimeError("backward called before forward(train=True)")
-        grad_pre = self.activation.derivative(self._cached_preactivation)
+        grad_pre = self.activation.output_derivative(self._cached_output)
         grad_pre *= grad_output
-        # Gradients land in the preallocated buffers (their shapes are
-        # fixed by the layer, not the batch), saving two allocations
-        # per layer per minibatch step.
+        # Gradients land in the bound buffers (their shapes are fixed by
+        # the layer, not the batch), saving two allocations per layer
+        # per minibatch step.
         np.matmul(self._cached_input.T, grad_pre, out=self.grad_weights)
         grad_pre.sum(axis=0, out=self.grad_biases)
-        return grad_pre @ self.weights.T
+        return grad_pre @ self._weights.T
 
-    # -- parameter access for optimizers ------------------------------------
+    # -- parameter access -------------------------------------------------------
 
     def parameters(self) -> Dict[str, np.ndarray]:
-        """Named parameter arrays (mutated in place by optimizers)."""
-        return {"weights": self.weights, "biases": self.biases}
+        """Named parameter arrays (views of the flat parameter vector)."""
+        return {"weights": self._weights, "biases": self._biases}
 
     def gradients(self) -> Dict[str, np.ndarray]:
         """Named gradient arrays matching :meth:`parameters`."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+from typing import Tuple
 
 import numpy as np
 
@@ -17,6 +18,12 @@ class Loss(abc.ABC):
     @abc.abstractmethod
     def gradient(self, predicted: np.ndarray, target: np.ndarray) -> np.ndarray:
         """d(loss)/d(predicted), same shape as ``predicted``."""
+
+    def value_and_gradient(
+        self, predicted: np.ndarray, target: np.ndarray
+    ) -> Tuple[float, np.ndarray]:
+        """:meth:`value` and :meth:`gradient` of one batch together."""
+        return self.value(predicted, target), self.gradient(predicted, target)
 
 
 class BinaryCrossEntropy(Loss):
@@ -35,14 +42,19 @@ class BinaryCrossEntropy(Loss):
         return np.clip(predicted, self.epsilon, 1.0 - self.epsilon)
 
     def value(self, predicted: np.ndarray, target: np.ndarray) -> float:
-        p = self._clamp(np.asarray(predicted, dtype="float64"))
-        y = np.asarray(target, dtype="float64")
-        return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+        return self.value_and_gradient(predicted, target)[0]
 
     def gradient(self, predicted: np.ndarray, target: np.ndarray) -> np.ndarray:
+        return self.value_and_gradient(predicted, target)[1]
+
+    def value_and_gradient(
+        self, predicted: np.ndarray, target: np.ndarray
+    ) -> Tuple[float, np.ndarray]:
+        # One clamp serves both (the training loop needs both per step).
         p = self._clamp(np.asarray(predicted, dtype="float64"))
         y = np.asarray(target, dtype="float64")
-        return (p - y) / (p * (1.0 - p)) / p.size
+        value = float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+        return value, (p - y) / (p * (1.0 - p)) / p.size
 
 
 class MeanSquaredError(Loss):

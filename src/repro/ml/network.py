@@ -15,6 +15,12 @@ class NeuralNetwork:
 
     The paper's predictor is ``NeuralNetwork.mlp(input_size, (12, 12, 6))``:
     ReLU hidden layers and a single sigmoid output unit.
+
+    Every layer's parameters are packed, in layer order, into the one
+    contiguous :attr:`flat_params` vector and their gradients into
+    :attr:`flat_grads`; each layer's arrays are views of its slice (see
+    :meth:`Dense.bind`).  An optimizer step is thus a handful of
+    in-place operations on two vectors, however many layers there are.
     """
 
     def __init__(self, layers: Sequence[Dense]) -> None:
@@ -27,6 +33,25 @@ class NeuralNetwork:
                     f"{downstream.input_size}"
                 )
         self.layers: List[Dense] = list(layers)
+        self.flat_params = np.concatenate(
+            [
+                array.ravel()
+                for layer in self.layers
+                for array in (layer.weights, layer.biases)
+            ]
+        )
+        self.flat_grads = np.zeros_like(self.flat_params)
+        offset = 0
+        for layer in self.layers:
+            end = offset + layer.parameter_count
+            layer.bind(self.flat_params[offset:end], self.flat_grads[offset:end])
+            offset = end
+
+    def __reduce__(self) -> tuple:
+        # Rebuild through __init__ so the layers come back bound to one
+        # fresh pair of flat vectors (numpy would unpickle every view as
+        # an independent array).
+        return (type(self), (self.layers,))
 
     @classmethod
     def mlp(
@@ -89,9 +114,7 @@ class NeuralNetwork:
 
     def parameter_count(self) -> int:
         """Total trainable scalars."""
-        return sum(
-            p.size for layer in self.layers for p in layer.parameters().values()
-        )
+        return self.flat_params.size
 
     def architecture(self) -> Tuple[int, ...]:
         """Layer widths, input first."""

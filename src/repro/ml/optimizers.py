@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -15,7 +15,7 @@ class Optimizer(abc.ABC):
 
     @abc.abstractmethod
     def step(self, network: NeuralNetwork) -> None:
-        """Apply one update using the gradients stored on each layer."""
+        """Apply one update using the network's flat gradient vector."""
 
 
 class SGD(Optimizer):
@@ -33,28 +33,34 @@ class SGD(Optimizer):
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.learning_rate = learning_rate
         self.momentum = momentum
-        self._velocity: Dict[Tuple[int, str], np.ndarray] = {}
+        self._velocity: Optional[np.ndarray] = None
+        self._scratch: Optional[np.ndarray] = None
 
     def step(self, network: NeuralNetwork) -> None:
-        for index, layer in enumerate(network.layers):
-            params = layer.parameters()
-            grads = layer.gradients()
-            for name, param in params.items():
-                grad = grads[name]
-                if self.momentum > 0.0:
-                    key = (index, name)
-                    velocity = self._velocity.get(key)
-                    if velocity is None:
-                        velocity = np.zeros_like(param)
-                    velocity = self.momentum * velocity - self.learning_rate * grad
-                    self._velocity[key] = velocity
-                    param += velocity
-                else:
-                    param -= self.learning_rate * grad
+        params, grad = network.flat_params, network.flat_grads
+        if self._scratch is None:
+            self._scratch = np.empty_like(params)
+            self._velocity = np.zeros_like(params)
+        # velocity = momentum * velocity - lr * grad; param += velocity
+        # (or param -= lr * grad), one whole-vector operation at a time.
+        step = np.multiply(grad, self.learning_rate, out=self._scratch)
+        if self.momentum > 0.0:
+            velocity = self._velocity
+            velocity *= self.momentum
+            velocity -= step
+            params += velocity
+        else:
+            params -= step
 
 
 class Adam(Optimizer):
     """The Adam optimizer (Kingma & Ba, 2015).
+
+    The moment estimates are flat vectors matching the network's
+    :attr:`~repro.ml.network.NeuralNetwork.flat_params`; a step is a
+    fixed sequence of in-place vector operations that keeps the
+    textbook operation order, so it is bit-identical to the
+    per-parameter-array formulation.
 
     Args:
         learning_rate: Step size.
@@ -78,27 +84,33 @@ class Adam(Optimizer):
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
-        self._m: Dict[Tuple[int, str], np.ndarray] = {}
-        self._v: Dict[Tuple[int, str], np.ndarray] = {}
+        self._m: Optional[np.ndarray] = None
+        self._v: Optional[np.ndarray] = None
+        self._scratch: Optional[np.ndarray] = None
         self._t = 0
 
     def step(self, network: NeuralNetwork) -> None:
+        params, grad = network.flat_params, network.flat_grads
+        if self._m is None:
+            self._m = np.zeros_like(params)
+            self._v = np.zeros_like(params)
+            self._scratch = np.empty((2, params.size))
+        m, v = self._m, self._v
+        a, b = self._scratch
         self._t += 1
-        for index, layer in enumerate(network.layers):
-            params = layer.parameters()
-            grads = layer.gradients()
-            for name, param in params.items():
-                grad = grads[name]
-                key = (index, name)
-                m = self._m.get(key)
-                v = self._v.get(key)
-                if m is None:
-                    m = np.zeros_like(param)
-                    v = np.zeros_like(param)
-                m = self.beta1 * m + (1.0 - self.beta1) * grad
-                v = self.beta2 * v + (1.0 - self.beta2) * grad**2
-                self._m[key] = m
-                self._v[key] = v
-                m_hat = m / (1.0 - self.beta1**self._t)
-                v_hat = v / (1.0 - self.beta2**self._t)
-                param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        # m = beta1 * m + (1 - beta1) * grad
+        m *= self.beta1
+        m += np.multiply(grad, 1.0 - self.beta1, out=a)
+        # v = beta2 * v + (1 - beta2) * grad**2
+        v *= self.beta2
+        np.square(grad, out=a)
+        a *= 1.0 - self.beta2
+        v += a
+        # param -= lr * m_hat / (sqrt(v_hat) + epsilon)
+        np.divide(m, 1.0 - self.beta1**self._t, out=a)
+        a *= self.learning_rate
+        np.divide(v, 1.0 - self.beta2**self._t, out=b)
+        np.sqrt(b, out=b)
+        b += self.epsilon
+        a /= b
+        params -= a

@@ -82,8 +82,8 @@ def load_model(path: PathLike) -> TrainResult:
                 spec["output_size"],
                 activation=by_name(spec["activation"]),
             )
-            layer.weights = archive[f"weights_{index}"].copy()
-            layer.biases = archive[f"biases_{index}"].copy()
+            layer.weights = archive[f"weights_{index}"]
+            layer.biases = archive[f"biases_{index}"]
             layers.append(layer)
         scaler = None
         if header["has_scaler"]:

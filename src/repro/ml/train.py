@@ -178,8 +178,9 @@ def train_classifier(
             x_batch = x[batch]
             y_batch = y[batch]
             predicted = network.forward(x_batch, train=True)
-            epoch_loss += criterion.value(predicted, y_batch)
-            network.backward(criterion.gradient(predicted, y_batch))
+            batch_loss, grad = criterion.value_and_gradient(predicted, y_batch)
+            epoch_loss += batch_loss
+            network.backward(grad)
             opt.step(network)
         train_losses.append(epoch_loss / batches)
         if x_val is not None and y_val is not None:

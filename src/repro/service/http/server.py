@@ -52,6 +52,10 @@ class _OperationsHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-ops"
+    # Headers and body leave as two small writes; with Nagle on, the
+    # second waits for the client's delayed ACK (~40 ms per request on
+    # a kept-alive connection).
+    disable_nagle_algorithm = True
 
     # The accept loop must never die on a handler bug, and clients
     # must never see a traceback: everything funnels through the

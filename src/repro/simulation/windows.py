@@ -45,7 +45,7 @@ serial one.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,6 +54,41 @@ from repro.facility.topology import RackId
 from repro.failures.cmf import CmfEvent, PrecursorSignature
 from repro.simulation.engine import SimulationResult
 from repro.telemetry.records import PREDICTOR_CHANNELS, Channel
+
+#: Channel -> the precursor factor a CMF imprints on it, as a function
+#: of the time remaining until the failure (``tau``, seconds).  Channels
+#: without an entry carry no signature.
+_SIGNATURE_FACTORS: Dict[Channel, Callable[[np.ndarray, CmfEvent], np.ndarray]] = {
+    Channel.INLET_TEMPERATURE: lambda tau, event: PrecursorSignature.inlet_factor(
+        tau, event.severity
+    ),
+    Channel.OUTLET_TEMPERATURE: lambda tau, event: PrecursorSignature.outlet_factor(
+        tau, event.severity
+    ),
+    Channel.FLOW: lambda tau, event: PrecursorSignature.flow_factor(
+        tau, event.severity
+    ),
+    Channel.DC_HUMIDITY: lambda tau, event: PrecursorSignature.humidity_factor(
+        tau,
+        condensation_triggered=event.reason == "condensation_risk",
+        amplitude=event.severity,
+    ),
+}
+
+
+def _signature_factor(
+    event: CmfEvent, channel: Channel, epoch_s: np.ndarray
+) -> Optional[np.ndarray]:
+    """One channel's precursor factor of a CMF at the given timestamps.
+
+    The engine bakes it into the coarse telemetry of the event's rack;
+    it is 1.0 outside the lead-up window and ``None`` for channels
+    without a signature.  The factor is elementwise in time, so
+    evaluating it on a slice of the timestamps gives the same values as
+    slicing its evaluation on all of them.
+    """
+    factor = _SIGNATURE_FACTORS.get(channel)
+    return None if factor is None else factor(event.epoch_s - epoch_s, event)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -117,8 +152,13 @@ class WindowSynthesizer:
         #: bulk ``*_windows`` builders use per-index child generators
         #: instead (see the module docstring).
         self._rng = np.random.default_rng(seed)
-        self._db = result.database
-        self._epoch = self._db.epoch_s
+        self._epoch = result.database.epoch_s
+        #: The (samples, racks) value matrix of every predictor channel,
+        #: bound once: every window reads the same read-only views.
+        self._values = {
+            channel: result.database.channel(channel).values
+            for channel in PREDICTOR_CHANNELS
+        }
         #: Coarse cadence; the engine marks a rack down in the very
         #: step its CMF fires, so the last clean sample precedes the
         #: event by at least one coarse step.
@@ -146,24 +186,38 @@ class WindowSynthesizer:
         rack_index: int,
         grid: np.ndarray,
         cutoff_epoch_s: float,
-        divide_factor: Optional[np.ndarray] = None,
+        event: Optional[CmfEvent] = None,
     ) -> np.ndarray:
         """Interpolate one rack's coarse channel onto a window grid.
 
         Only coarse samples at or before ``cutoff_epoch_s`` are used
         (no post-failure leakage); beyond the last usable sample the
-        series holds its final value.  ``divide_factor``, if given,
-        divides the usable coarse samples (the counterfactual
-        de-imprinting of the precursor signature).
+        series holds its final value.  ``event``, if given, divides the
+        usable coarse samples by its precursor factors (the
+        counterfactual de-imprinting of the signature).
+
+        ``np.interp`` reads only the samples bracketing each grid point
+        and clamps to the end values, so the series is built from the
+        slice that starts at the last usable (finite) sample at or
+        before ``grid[0]`` and ends at the cutoff: the result is bit for
+        bit what interpolating every usable sample in the history gives,
+        at a cost independent of the history length.
         """
-        column = self._db.channel(channel).values[:, rack_index]
-        usable = np.isfinite(column) & (self._epoch <= cutoff_epoch_s + 1e-6)
+        column = self._values[channel][:, rack_index]
+        hi = int(np.searchsorted(self._epoch, cutoff_epoch_s + 1e-6, side="right"))
+        lo = min(int(np.searchsorted(self._epoch, grid[0], side="right")), hi) - 1
+        while lo > 0 and not np.isfinite(column[lo]):
+            lo -= 1
+        lo = max(lo, 0)
+        values = column[lo:hi]
+        usable = np.isfinite(values)
         if not usable.any():
             raise ValueError("no usable coarse telemetry before the window end")
-        epochs = self._epoch[usable]
-        values = column[usable]
-        if divide_factor is not None:
-            values = values / divide_factor[usable]
+        epochs = self._epoch[lo:hi][usable]
+        values = values[usable]
+        factor = None if event is None else _signature_factor(event, channel, epochs)
+        if factor is not None:
+            values = values / factor
         return np.interp(grid, epochs, values)
 
     def _noisy(
@@ -185,29 +239,6 @@ class WindowSynthesizer:
         """
         return tuple(np.random.SeedSequence(self._seed).spawn(3))
 
-    def _coarse_signature_factors(
-        self, event: CmfEvent
-    ) -> Dict[Channel, np.ndarray]:
-        """The precursor factors the engine baked into the coarse data.
-
-        Evaluated at every coarse timestamp for the event's rack; 1.0
-        outside the lead-up window.
-        """
-        tau = event.epoch_s - self._epoch
-        condensation = event.reason == "condensation_risk"
-        return {
-            Channel.INLET_TEMPERATURE: PrecursorSignature.inlet_factor(
-                tau, event.severity
-            ),
-            Channel.OUTLET_TEMPERATURE: PrecursorSignature.outlet_factor(
-                tau, event.severity
-            ),
-            Channel.FLOW: PrecursorSignature.flow_factor(tau, event.severity),
-            Channel.DC_HUMIDITY: PrecursorSignature.humidity_factor(
-                tau, condensation_triggered=condensation, amplitude=event.severity
-            ),
-        }
-
     # -- window construction -------------------------------------------------------
 
     def positive_window(
@@ -223,21 +254,6 @@ class WindowSynthesizer:
         """
         grid = self._grid(event.epoch_s)
         rack = event.rack_id.flat_index
-        tau = event.epoch_s - grid  # time remaining until failure
-        coarse_factors = self._coarse_signature_factors(event)
-        condensation = event.reason == "condensation_risk"
-        fine_factors = {
-            Channel.INLET_TEMPERATURE: PrecursorSignature.inlet_factor(
-                tau, event.severity
-            ),
-            Channel.OUTLET_TEMPERATURE: PrecursorSignature.outlet_factor(
-                tau, event.severity
-            ),
-            Channel.FLOW: PrecursorSignature.flow_factor(tau, event.severity),
-            Channel.DC_HUMIDITY: PrecursorSignature.humidity_factor(
-                tau, condensation_triggered=condensation, amplitude=event.severity
-            ),
-        }
         channels: Dict[Channel, np.ndarray] = {}
         for channel in PREDICTOR_CHANNELS:
             clean = self._coarse_series(
@@ -245,9 +261,10 @@ class WindowSynthesizer:
                 rack,
                 grid,
                 cutoff_epoch_s=event.epoch_s - self._coarse_dt,
-                divide_factor=coarse_factors.get(channel),
+                event=event,
             )
-            series = clean * fine_factors.get(channel, 1.0)
+            fine_factor = _signature_factor(event, channel, grid)
+            series = clean if fine_factor is None else clean * fine_factor
             channels[channel] = self._noisy(channel, series, rng)
         return LeadupWindow(
             rack_id=event.rack_id,

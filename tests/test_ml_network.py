@@ -131,3 +131,83 @@ class TestGradients:
         layer.biases[2] = original
         numeric = (plus - minus) / (2 * eps)
         assert layer.grad_biases[2] == pytest.approx(numeric, rel=2e-3, abs=1e-7)
+
+
+def _assert_bound(net):
+    """Every layer array is a view of the network's flat vectors."""
+    offset = 0
+    for layer in net.layers:
+        for array, flat in (
+            (layer.weights, net.flat_params),
+            (layer.biases, net.flat_params),
+            (layer.grad_weights, net.flat_grads),
+            (layer.grad_biases, net.flat_grads),
+        ):
+            assert np.shares_memory(array, flat)
+        size = layer.weights.size + layer.biases.size
+        assert np.array_equal(
+            net.flat_params[offset : offset + size],
+            np.concatenate([layer.weights.ravel(), layer.biases]),
+        )
+        offset += size
+    assert offset == net.flat_params.size == net.flat_grads.size
+
+
+def _train_briefly(net):
+    from repro.ml.train import TrainConfig, train_classifier
+
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((64, net.layers[0].input_size))
+    y = (x[:, 0] > 0).astype(int)
+    train_classifier(net, x, y, config=TrainConfig(epochs=2), rng=rng)
+
+
+class TestFlatParameters:
+    def test_layers_view_flat_vectors(self):
+        net = NeuralNetwork.mlp(18, (12, 12, 6))
+        _assert_bound(net)
+        assert net.flat_params.size == net.parameter_count() == 469
+
+    @pytest.mark.parametrize("route", ["pickle", "deepcopy", "clone", "load_model"])
+    def test_copies_train_through_their_views(self, route, tmp_path):
+        import copy
+        import pickle
+
+        from repro.ml.persistence import load_model, save_model
+        from repro.ml.train import TrainResult
+
+        net = NeuralNetwork.mlp(5, (4, 3), rng=np.random.default_rng(2))
+        if route == "pickle":
+            copied = pickle.loads(pickle.dumps(net))
+        elif route == "deepcopy":
+            copied = copy.deepcopy(net)
+        elif route == "clone":
+            copied = net.clone_untrained(np.random.default_rng(7))
+        else:
+            path = save_model(TrainResult(net, None, [], []), tmp_path / "m.npz")
+            copied = load_model(path).network
+        if route != "clone":
+            for a, b in zip(net.layers, copied.layers):
+                assert np.array_equal(a.weights, b.weights)
+                assert not np.shares_memory(a.weights, b.weights)
+        _assert_bound(copied)
+        before = [layer.weights.copy() for layer in copied.layers]
+        _train_briefly(copied)
+        for layer, old in zip(copied.layers, before):
+            assert not np.array_equal(layer.weights, old)
+        _assert_bound(copied)
+
+    def test_assignment_writes_through(self):
+        net = NeuralNetwork.mlp(4, (3,))
+        layer = net.layers[0]
+        layer.weights = np.full((4, 3), 0.25)
+        layer.biases = [1.0, 2.0, 3.0]
+        _assert_bound(net)
+        assert np.array_equal(net.flat_params[:15], [0.25] * 12 + [1.0, 2.0, 3.0])
+
+    def test_assignment_shape_checked(self):
+        layer = NeuralNetwork.mlp(4, (3,)).layers[0]
+        with pytest.raises(ValueError):
+            layer.weights = np.zeros((3, 4))
+        with pytest.raises(ValueError):
+            layer.biases = 0.0

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.ml.activations import Activation, sigmoid
+from repro.ml.losses import Loss
 from repro.ml.metrics import accuracy
 from repro.ml.network import NeuralNetwork
-from repro.ml.optimizers import SGD, Adam
+from repro.ml.optimizers import SGD, Adam, Optimizer
 from repro.ml.train import (
     FeatureScaler,
     TrainConfig,
@@ -138,3 +140,119 @@ class TestThreeWaySplit:
     def test_bad_ratio_rejected(self):
         with pytest.raises(ValueError):
             three_way_split(np.ones((10, 1)), np.ones(10), np.random.default_rng(0), ratio=(1, 0, 1))
+
+
+# -- reference copies of the per-parameter update path ------------------------
+
+
+def _masked_sigmoid(x):
+    out = np.empty_like(x, dtype="float64")
+    positive = x >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+    exp_x = np.exp(x[~positive])
+    out[~positive] = exp_x / (1.0 + exp_x)
+    return out
+
+
+_REFERENCE_SIGMOID = Activation("sigmoid", _masked_sigmoid, lambda s: s * (1.0 - s))
+
+
+class _PerParameterAdam(Optimizer):
+    def __init__(self, learning_rate=0.01, beta1=0.9, beta2=0.999, epsilon=1e-8):
+        self.learning_rate = learning_rate
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.epsilon = epsilon
+        self._m, self._v, self._t = {}, {}, 0
+
+    def step(self, network):
+        self._t += 1
+        for index, layer in enumerate(network.layers):
+            grads = layer.gradients()
+            for name, param in layer.parameters().items():
+                grad = grads[name]
+                key = (index, name)
+                m = self._m.get(key, np.zeros_like(param))
+                v = self._v.get(key, np.zeros_like(param))
+                m = self.beta1 * m + (1.0 - self.beta1) * grad
+                v = self.beta2 * v + (1.0 - self.beta2) * grad**2
+                self._m[key], self._v[key] = m, v
+                m_hat = m / (1.0 - self.beta1**self._t)
+                v_hat = v / (1.0 - self.beta2**self._t)
+                param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+
+
+class _PerParameterSGD(Optimizer):
+    def __init__(self, learning_rate, momentum=0.0):
+        self.learning_rate = learning_rate
+        self.momentum = momentum
+        self._velocity = {}
+
+    def step(self, network):
+        for index, layer in enumerate(network.layers):
+            grads = layer.gradients()
+            for name, param in layer.parameters().items():
+                grad = grads[name]
+                if self.momentum > 0.0:
+                    velocity = self._velocity.get((index, name), np.zeros_like(param))
+                    velocity = self.momentum * velocity - self.learning_rate * grad
+                    self._velocity[(index, name)] = velocity
+                    param += velocity
+                else:
+                    param -= self.learning_rate * grad
+
+
+class _TwoClampCrossEntropy(Loss):
+    def value(self, predicted, target):
+        p = np.clip(predicted, 1e-9, 1.0 - 1e-9)
+        y = np.asarray(target, dtype="float64")
+        return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+
+    def gradient(self, predicted, target):
+        p = np.clip(predicted, 1e-9, 1.0 - 1e-9)
+        y = np.asarray(target, dtype="float64")
+        return (p - y) / (p * (1.0 - p)) / p.size
+
+
+class TestFlatUpdateEquivalence:
+    """The flat-vector step is bit-identical to the per-parameter one."""
+
+    @pytest.mark.parametrize(
+        "make_flat, make_reference",
+        [
+            (Adam, _PerParameterAdam),
+            (lambda: SGD(0.05, momentum=0.9), lambda: _PerParameterSGD(0.05, 0.9)),
+            (lambda: SGD(0.1), lambda: _PerParameterSGD(0.1)),
+        ],
+        ids=["adam", "sgd-momentum", "sgd"],
+    )
+    def test_training_bit_identical(self, make_flat, make_reference):
+        x, y = _blobs(n=240, seed=3)
+        # Overlapping classes keep gradients alive for every epoch.
+        x = x * 0.4
+        results = []
+        for optimizer, output, loss in (
+            (make_flat(), sigmoid, None),
+            (make_reference(), _REFERENCE_SIGMOID, _TwoClampCrossEntropy()),
+        ):
+            net = NeuralNetwork.mlp(
+                2, (12, 12, 6), output_activation=output, rng=np.random.default_rng(4)
+            )
+            results.append(
+                train_classifier(
+                    net, x[:180], y[:180], config=TrainConfig(epochs=30),
+                    optimizer=optimizer, loss=loss, rng=np.random.default_rng(5),
+                    x_val=x[180:], y_val=y[180:],
+                )
+            )
+        flat, reference = results
+        assert flat.train_losses == reference.train_losses
+        assert flat.validation_losses == reference.validation_losses
+        for a, b in zip(flat.network.layers, reference.network.layers):
+            assert np.array_equal(a.weights, b.weights)
+            assert np.array_equal(a.biases, b.biases)
+
+    def test_sigmoid_matches_masked_form(self):
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -800.0, 800.0]
+        x = np.concatenate([np.linspace(-40.0, 40.0, 2001), edges])
+        assert np.array_equal(sigmoid.forward(x), _masked_sigmoid(x), equal_nan=True)
