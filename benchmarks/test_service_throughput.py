@@ -1,8 +1,11 @@
 """Service-layer throughput: streamed samples/sec and queries/sec.
 
-Times the two hot paths of the live operations stack over a one-year,
+Times the hot paths of the live operations stack over a one-year,
 48-rack realization at hourly cadence:
 
+* **offline build** — :meth:`~repro.service.RollupStore.from_database`,
+  the rollup construction every ``repro serve-http`` launch and
+  ``repro query`` runs before it can answer,
 * **streaming** — an unpaced :class:`~repro.service.ReplayBus` replay
   with the rollup store subscribed (the ingest path every live sample
   takes), measured twice: once with per-sample delivery (the
@@ -52,6 +55,10 @@ _OUTPUT = _REPO_ROOT / "BENCH_service.json"
 #: path is a dict hit (~1 us); even the cold path reduces only a
 #: 24 x 48 window.  Measured: well over 100k queries/s.
 MIN_QUERIES_PER_SEC = 10_000.0
+#: Floor on the offline rollup build.  The columnar fold measured
+#: ~60,000 rows/s on a 2-core development box; the row-at-a-time fold
+#: it replaced ran at ~2,900 rows/s and fails this floor.
+MIN_BUILD_ROWS_PER_SEC = 20_000.0
 #: Floor on unpaced per-sample replay with the rollup subscriber.
 MIN_SAMPLES_PER_SEC = 500.0
 #: Required chunked-over-per-sample streaming speedup ...
@@ -66,6 +73,16 @@ _CHUNK_SIZE = 2048
 def _year_result():
     config = MiraScenario.demo(days=_DAYS, seed=17, dt_s=3600.0)
     return FacilityEngine(config).run()
+
+
+def _build_best(database, trials: int) -> float:
+    """Best-of-``trials`` seconds for ``RollupStore.from_database``."""
+    best = float("inf")
+    for _ in range(trials):
+        t0 = time.perf_counter()
+        RollupStore.from_database(database)
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def _stream_once(database, chunk_size: int, delivery: str) -> Tuple[object, object]:
@@ -152,6 +169,10 @@ def test_service_throughput():
     result = _year_result()
     database = result.database
 
+    # -- offline build: the store every server launch starts from --
+    build_s = _build_best(database, trials=3)
+    build_rows_per_sec = database.num_samples / build_s
+
     # -- streaming: per-sample shim vs chunked columnar delivery --
     sample_report, _ = _stream_best(
         database, chunk_size=1, delivery="samples", trials=2
@@ -195,6 +216,12 @@ def test_service_throughput():
         "version": __version__,
         "python": platform.python_version(),
         "scenario": f"demo(days={_DAYS}, seed=17, dt_s=3600)",
+        "cpu_count": os.cpu_count(),
+        "offline_build": {
+            "rows": database.num_samples,
+            "seconds": round(build_s, 4),
+            "rows_per_sec": round(build_rows_per_sec, 1),
+        },
         "streaming": {
             "samples": chunked_report.published,
             # The live default: chunked columnar delivery.
@@ -214,12 +241,16 @@ def test_service_throughput():
             "warm_queries_per_sec": _qps(warm_s),
             "concurrent_queries_per_sec": _qps(concurrent_s),
             "mixed_queries_per_sec": round(mixed_qps, 1),
-            "cache": info,
+            "cache": info.as_dict(),
         },
     }
     _OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
 
     print("\nservice throughput (1-year hourly, 48 racks):")
+    print(
+        f"  offline build: {database.num_samples} rows in {build_s:.3f}s"
+        f" -> {build_rows_per_sec:.0f} rows/s"
+    )
     print(
         f"  streaming (per-sample): {sample_report.published} samples in"
         f" {sample_report.duration_s:.3f}s"
@@ -236,6 +267,9 @@ def test_service_throughput():
         f" concurrent {_qps(concurrent_s):.0f}/s, mixed {mixed_qps:.0f}/s"
     )
 
+    assert build_rows_per_sec > MIN_BUILD_ROWS_PER_SEC, (
+        f"offline rollup build only {build_rows_per_sec:.0f} rows/s"
+    )
     assert sample_report.rows_per_sec > MIN_SAMPLES_PER_SEC
     assert chunked_report.rows_per_sec > MIN_SAMPLES_PER_SEC
     assert mixed_qps > MIN_QUERIES_PER_SEC

@@ -356,11 +356,8 @@ def _rollup_fingerprint(service) -> Dict[float, np.ndarray]:
 def _fingerprints_match(
     baseline: Dict[float, np.ndarray], candidate: Dict[float, np.ndarray]
 ) -> bool:
-    if baseline.keys() != candidate.keys():
-        return False
-    return all(
-        baseline[k].shape == candidate[k].shape
-        and np.allclose(baseline[k], candidate[k], rtol=1e-9, atol=1e-9, equal_nan=True)
+    return baseline.keys() == candidate.keys() and all(
+        np.array_equal(baseline[k], candidate[k], equal_nan=True)
         for k in baseline
     )
 

@@ -76,6 +76,8 @@ class RequestCounters:
     server_errors: int = 0
     chaos_errors: int = 0
     chaos_resets: int = 0
+    #: ``/metrics`` blocks that failed to gather and were left out.
+    metrics_errors: int = 0
     by_route: Dict[str, int] = dataclasses.field(default_factory=dict)
 
     def as_dict(self) -> Dict:
@@ -335,7 +337,32 @@ class OperationsApp:
         }
 
     def metrics(self) -> Dict:
-        """The ``/metrics`` document."""
+        """The ``/metrics`` document.
+
+        The dataset digest and section-cache blocks are best effort: a
+        failure to gather one leaves it out and counts in
+        ``server.metrics_errors`` (this scrape's included).
+        """
+        optional: Dict = {}
+        if self.database is not None:
+            try:
+                # flush=False: hash committed rows only, so a metrics
+                # poll never forces partially-assembled batches in.
+                optional["dataset"] = self.database.digest_info(flush=False).as_dict()
+            except Exception:  # noqa: BLE001 - observability is best effort
+                self._count_metrics_error()
+        try:
+            from repro.analytics.incremental import default_store
+
+            store = default_store()
+            section_cache = {"enabled": store.enabled, **store.counters.as_dict()}
+            if store.enabled:
+                entries = store.entries()
+                section_cache["entries"] = len(entries)
+                section_cache["bytes"] = sum(entry.size_bytes for entry in entries)
+            optional["section_cache"] = section_cache
+        except Exception:  # noqa: BLE001 - observability is best effort
+            self._count_metrics_error()
         payload: Dict = {
             "api_version": API_VERSION,
             "server": self._counters_snapshot(),
@@ -349,30 +376,8 @@ class OperationsApp:
                     for resolution, count in self.engine.store.bucket_counts().items()
                 },
             },
+            **optional,
         }
-        if self.database is not None:
-            try:
-                # flush=False: hash committed rows only, so a metrics
-                # poll never forces partially-assembled batches in.
-                payload["dataset"] = self.database.digest_info(flush=False).as_dict()
-            except Exception:  # noqa: BLE001 - observability is best effort
-                pass
-        try:
-            from repro.analytics.incremental import default_store
-
-            store = default_store()
-            payload["section_cache"] = {
-                "enabled": store.enabled,
-                **store.counters.as_dict(),
-            }
-            if store.enabled:
-                entries = store.entries()
-                payload["section_cache"]["entries"] = len(entries)
-                payload["section_cache"]["bytes"] = sum(
-                    entry.size_bytes for entry in entries
-                )
-        except Exception:  # noqa: BLE001 - observability is best effort
-            pass
         if self.gateway is not None:
             payload["ingest"] = self.gateway.metrics()
         if self.service is not None:
@@ -381,6 +386,10 @@ class OperationsApp:
                 for name, counters in self.service.supervisor.counters.items()
             }
         return payload
+
+    def _count_metrics_error(self) -> None:
+        with self._counter_lock:
+            self.counters.metrics_errors += 1
 
     def _counters_snapshot(self) -> Dict:
         with self._counter_lock:

@@ -30,11 +30,19 @@ raw-level rollup queries *exactly* equal to offline aggregates over
 the environmental database (the streaming/batch equivalence contract
 the query engine's tests enforce).
 
+There is one fold, :meth:`RollupStore.add_block`: a live chunk, an
+HTTP collector batch, a whole database (``from_database`` folds it in
+large blocks) and a single sample (:meth:`RollupStore.add` is a
+one-row block) all go through it.  It accumulates every bucket in its
+rows' arrival order, so the buckets are bit-identical whatever the
+block boundaries, and late or shuffled rows land exactly as if folded
+one at a time.
+
 The store is thread-safe (one lock; writers are the bus subscriber
-thread, readers the query engine's pool) and versioned: every ingest
-bumps :attr:`~RollupStore.version` and records the mutated timestamp
-in a bounded history so the query cache can invalidate *only* entries
-whose window the new data actually touches.
+thread, readers the query engine's pool) and versioned: every ingested
+block bumps :attr:`~RollupStore.version` and records the mutated
+timestamp in a bounded history so the query cache can invalidate
+*only* entries whose window the new data actually touches.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import threading
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -58,6 +66,10 @@ DEFAULT_RESOLUTIONS_S = (300.0, 3600.0, 86400.0)
 #: older than this force a conservative "invalidate everything".
 _MUTATION_HISTORY = 4096
 
+#: Rows per :meth:`RollupStore.add_block` call when folding a whole
+#: database in (``ingest_database`` / ``from_database``).
+_INGEST_BLOCK_ROWS = 65_536
+
 #: Quality flags counting toward coverage (present and not scrubbed).
 _USABLE_FLAGS = (int(Quality.OK), int(Quality.SUSPECT))
 
@@ -68,10 +80,10 @@ class _PreparedBlock:
 
     Computed once per ingested block (isfinite / zero-fill / usable
     masks are identical at every resolution) so the per-level work is
-    only the segment reduction and the bucket writes.  Fully-finite /
-    fully-usable blocks — the overwhelmingly common case — carry
-    ``None`` masks, letting the fold skip the mask reductions and
-    write bucket tallies as broadcast fills.
+    only the fold into the buckets.  Fully-finite / fully-usable
+    blocks — the overwhelmingly common case — carry ``None`` masks,
+    letting the fold add per-bucket row tallies instead of folding
+    the masks.
     """
 
     zeroed: np.ndarray  # non-finite cells as 0.0 (the block itself when clean)
@@ -84,9 +96,8 @@ class _ChannelBuckets:
     """Growable per-channel accumulator matrices for one level.
 
     Rows at or beyond the level's ``size`` are uninitialized — every
-    bucket row is explicitly written when it is created (``locate`` for
-    row-at-a-time ingest, the tail writes of ``add_block`` for blocks),
-    so fresh capacity is allocated with ``np.empty`` and never padded.
+    bucket row is written clean when ``_Level._create`` makes it, so
+    fresh capacity is allocated with ``np.empty`` and never padded.
     """
 
     minimum: np.ndarray  # (cap, racks) float64
@@ -120,10 +131,18 @@ class _Level:
             usable=np.empty(shape, dtype="int32"),
         )
 
-    def _grow(self, needed: Optional[int] = None) -> None:
-        """Reallocate to at least ``needed`` (default: double) in one go."""
+    def _matrices(self) -> Iterable[np.ndarray]:
+        """Every array indexed by bucket row."""
+        yield self.epoch
+        yield self.samples
+        for buckets in self.channels.values():
+            for field in dataclasses.fields(_ChannelBuckets):
+                yield getattr(buckets, field.name)
+
+    def _grow(self, needed: int) -> None:
+        """Reallocate to at least ``needed`` rows in one go."""
         new_capacity = self.capacity * 2
-        while new_capacity < (needed or 0):
+        while new_capacity < needed:
             new_capacity *= 2
         grown = new_capacity - self.capacity
         self.epoch = np.concatenate([self.epoch, np.empty(grown)])
@@ -139,67 +158,60 @@ class _Level:
             self.channels[channel] = fresh
         self.capacity = new_capacity
 
-    def bucket_start(self, epoch_s: float) -> float:
-        return float(np.floor(epoch_s / self.resolution_s) * self.resolution_s)
-
-    def locate(self, epoch_s: float) -> int:
-        """Index of the bucket holding ``epoch_s``, creating it if new."""
-        start = self.bucket_start(epoch_s)
-        if self.size and start == self.epoch[self.size - 1]:
-            return self.size - 1  # the common in-order fast path
-        index = int(np.searchsorted(self.epoch[: self.size], start))
-        if index < self.size and self.epoch[index] == start:
-            return index
-        if self.size == self.capacity:
-            self._grow()
-        if index < self.size:
-            # Out-of-order bucket creation (late sample): shift right.
-            self.epoch[index + 1 : self.size + 1] = self.epoch[index : self.size]
-            self.samples[index + 1 : self.size + 1] = self.samples[index : self.size]
-            for buckets in self.channels.values():
-                for field in dataclasses.fields(_ChannelBuckets):
-                    matrix = getattr(buckets, field.name)
-                    matrix[index + 1 : self.size + 1] = matrix[index : self.size]
-        self.epoch[index] = start
-        self.samples[index] = 0
-        for buckets in self.channels.values():
-            buckets.minimum[index] = np.nan
-            buckets.maximum[index] = np.nan
-            buckets.total[index] = 0.0
-            buckets.count[index] = 0
-            buckets.usable[index] = 0
-        self.size += 1
-        return index
-
-    def add(
-        self,
-        epoch_s: float,
-        values: Mapping[Channel, np.ndarray],
-        quality: Optional[Mapping[Channel, np.ndarray]],
-    ) -> None:
-        index = self.locate(epoch_s)
-        self.samples[index] += 1
-        for channel, vector in values.items():
-            buckets = self.channels[channel]
-            finite = np.isfinite(vector)
-            buckets.minimum[index] = np.fmin(buckets.minimum[index], vector)
-            buckets.maximum[index] = np.fmax(buckets.maximum[index], vector)
-            buckets.total[index] += np.where(finite, vector, 0.0)
-            buckets.count[index] += finite
-            if quality is not None and channel in quality:
-                flags = quality[channel]
-                buckets.usable[index] += (flags == _USABLE_FLAGS[0]) | (
-                    flags == _USABLE_FLAGS[1]
-                )
-            else:
-                buckets.usable[index] += finite
-
     def _ensure_capacity(self, needed: int) -> None:
-        # Block ingest over-allocates (2x the requirement) so a steady
-        # stream of chunks reallocates O(log n) times with geometric
-        # copy cost, not once per chunk batch.
+        # Over-allocate (2x the requirement) so a steady stream of
+        # blocks reallocates O(log n) times with geometric copy cost.
         if self.capacity < needed:
             self._grow(2 * needed)
+
+    def _place(self, ustarts: np.ndarray) -> np.ndarray:
+        """Bucket rows of strictly increasing starts, creating any missing.
+
+        New buckets start clean in every channel (NaN extrema, zero
+        tallies), so folding into them is the same operation as folding
+        into an existing bucket.  Buckets created behind the newest one
+        shift the later rows right in one move per array.
+        """
+        size = self.size
+        if size == 0 or ustarts[0] >= self.epoch[size - 1]:
+            # In order: at most the first bucket exists (the newest one).
+            merged = int(size > 0 and ustarts[0] == self.epoch[size - 1])
+            if len(ustarts) > merged:
+                self._ensure_capacity(size + len(ustarts) - merged)
+                self._create(
+                    slice(size, size + len(ustarts) - merged), ustarts[merged:]
+                )
+            return np.arange(size - merged, self.size)
+        index = np.searchsorted(self.epoch[:size], ustarts)
+        missing = index == size
+        missing[~missing] = self.epoch[index[~missing]] != ustarts[~missing]
+        new = ustarts[missing]
+        if not len(new):
+            return index
+        self._ensure_capacity(size + len(new))
+        first = int(index[missing][0])
+        if first < size:
+            dest = np.arange(first, size) + np.searchsorted(
+                new, self.epoch[first:size]
+            )
+            for matrix in self._matrices():
+                matrix[dest] = matrix[first:size].copy()
+        # Every bucket moves right by the number of new ones before it.
+        index = index + np.cumsum(missing) - missing
+        self._create(_as_rows(index[missing]), new)
+        return index
+
+    def _create(self, rows, starts: np.ndarray) -> None:
+        """Write clean buckets for ``starts`` at ``rows``."""
+        self.epoch[rows] = starts
+        self.samples[rows] = 0
+        for buckets in self.channels.values():
+            buckets.minimum[rows] = np.nan
+            buckets.maximum[rows] = np.nan
+            buckets.total[rows] = 0.0
+            buckets.count[rows] = 0
+            buckets.usable[rows] = 0
+        self.size += len(starts)
 
     def add_block(
         self,
@@ -207,134 +219,82 @@ class _Level:
         values: Mapping[Channel, np.ndarray],
         prepared: Mapping[Channel, "_PreparedBlock"],
     ) -> None:
-        """Fold a block of rows (non-decreasing epochs) in one pass.
+        """Fold a block of rows into its buckets, each in arrival order.
 
-        Rows are grouped into per-bucket segments, each segment reduced
-        with ``np.{fmin,fmax,add}.reduceat`` (sequential in-segment
-        application — the same fold order as row-at-a-time :meth:`add`,
-        so min/max/count/usable are exact and totals differ from the
-        sequential path only by one re-association per merged bucket).
-
-        Two structural fast paths keep the in-order streaming case at
-        memory-copy speed: when every row lands in its own bucket (a
-        stream cadence at or above the level resolution) the reduceats
-        collapse to the block itself, and brand-new tail buckets are
-        written directly — no NaN/zero reset pass, no fold against the
-        freshly reset rows.  Only a bucket merged with the previous
-        block's tail folds against existing state.  A block reaching
-        behind the newest bucket falls back to per-segment
-        :meth:`locate` plus a full fold.
+        Rows are grouped per bucket with a stable sort on bucket start
+        (skipped for in-order blocks), so each bucket keeps its rows'
+        arrival order.  Every field then folds *rank-major*: the
+        bucket's current value, then its first row, its second row,
+        and so on, one vectorized step per rank across all buckets.
+        Totals are therefore summed in exactly the order row-at-a-time
+        folding would use (``np.add.reduceat`` would sum long segments
+        pairwise instead), and the result is bit-identical to folding
+        the rows one by one, at any block size and in any arrival
+        order.
         """
         n = len(epochs)
         starts = np.floor(epochs / self.resolution_s) * self.resolution_s
-        if n == 1:
-            seg_idx = np.zeros(1, dtype=np.intp)
+        order = None
+        if n > 1 and np.any(starts[1:] < starts[:-1]):
+            order = np.argsort(starts, kind="stable")
+            starts = starts[order]
+        first_of_bucket = np.empty(n, dtype=bool)
+        first_of_bucket[0] = True
+        np.not_equal(starts[1:], starts[:-1], out=first_of_bucket[1:])
+        seg_idx = np.flatnonzero(first_of_bucket)
+        seg_rows = np.diff(np.concatenate((seg_idx, [n])))
+        index = self._place(starts[seg_idx])
+        rows = _as_rows(index)
+        self.samples[rows] += seg_rows
+        if len(seg_idx) == n:  # every row is its own bucket: one rank
+            bucket_rows, ranked, tally, schedule = rows, order, 1, None
         else:
-            seg_idx = np.concatenate(
-                [[0], np.flatnonzero(starts[1:] != starts[:-1]) + 1]
-            ).astype(np.intp)
-        ustarts = starts[seg_idx]  # strictly increasing
-        singles = len(ustarts) == n  # every row is its own bucket
-        seg_rows = np.diff(np.append(seg_idx, n))
-        # Per-bucket tallies when every cell counts: a (nseg, 1) column
-        # broadcast across racks (scalar 1 in the singles case), so the
-        # bucket writes are fills with no mask reduction at all.
-        full_tally = 1 if singles else seg_rows[:, None].astype(np.int32)
-
-        def reduce_segments(channel):
-            block = values[channel]
+            # Buckets longest first, so the buckets still holding a row
+            # at rank k are a prefix of ``active[k]`` buckets; ``ranked``
+            # lists block rows rank by rank.
+            by_length = np.argsort(-seg_rows, kind="stable")
+            active = np.searchsorted(
+                -seg_rows[by_length], -np.arange(seg_rows.max()), side="left"
+            )
+            offsets = np.cumsum(active) - active
+            member = np.arange(n) - np.repeat(offsets, active)
+            ranked = seg_idx[by_length][member] + np.repeat(
+                np.arange(len(active)), active
+            )
+            if order is not None:
+                ranked = order[ranked]
+            bucket_rows, tally = index[by_length], seg_rows[by_length][:, None]
+            schedule = list(zip(offsets.tolist(), active.tolist()))
+        scatter = not isinstance(bucket_rows, slice)  # else acc is a view
+        for channel, block in values.items():
             ready = prepared[channel]
-            if singles:
-                count = 1 if ready.finite is None else ready.finite
-                usable = 1 if ready.usable is None else ready.usable
-                return block, block, ready.zeroed, count, usable
-            count = (
-                full_tally
-                if ready.finite is None
-                else np.add.reduceat(
-                    ready.finite, seg_idx, axis=0, dtype=np.int32
-                )
-            )
-            usable = (
-                full_tally
-                if ready.usable is None
-                else np.add.reduceat(
-                    ready.usable, seg_idx, axis=0, dtype=np.int32
-                )
-            )
-            return (
-                np.fmin.reduceat(block, seg_idx, axis=0),
-                np.fmax.reduceat(block, seg_idx, axis=0),
-                np.add.reduceat(ready.zeroed, seg_idx, axis=0),
-                count,
-                usable,
-            )
-
-        def head(segments):
-            """Row 0 of a per-segment tally (or its scalar broadcast)."""
-            return segments if np.isscalar(segments) else segments[0]
-
-        def tail(segments, skip):
-            return segments if np.isscalar(segments) else segments[skip:]
-
-        if self.size == 0 or ustarts[0] >= self.epoch[self.size - 1]:
-            merge_first = bool(self.size) and ustarts[0] == self.epoch[self.size - 1]
-            skip = int(merge_first)
-            lo = self.size
-            hi = lo + len(ustarts) - skip
-            self._ensure_capacity(hi)
-            self.epoch[lo:hi] = ustarts[skip:]
-            if merge_first:
-                self.samples[lo - 1] += seg_rows[0]
-            self.samples[lo:hi] = seg_rows[skip:]
-            for channel, buckets in self.channels.items():
-                if channel not in values:
-                    # Untouched channel: its fresh tail rows stay clean.
-                    buckets.minimum[lo:hi] = np.nan
-                    buckets.maximum[lo:hi] = np.nan
-                    buckets.total[lo:hi] = 0.0
-                    buckets.count[lo:hi] = 0
-                    buckets.usable[lo:hi] = 0
-                    continue
-                seg_min, seg_max, seg_sum, seg_count, seg_usable = (
-                    reduce_segments(channel)
-                )
-                if merge_first:
-                    prev = lo - 1
-                    buckets.minimum[prev] = np.fmin(
-                        buckets.minimum[prev], seg_min[0]
-                    )
-                    buckets.maximum[prev] = np.fmax(
-                        buckets.maximum[prev], seg_max[0]
-                    )
-                    buckets.total[prev] += seg_sum[0]
-                    buckets.count[prev] += head(seg_count)
-                    buckets.usable[prev] += head(seg_usable)
-                # New tail buckets: direct writes, nothing to fold with.
-                buckets.minimum[lo:hi] = seg_min[skip:]
-                buckets.maximum[lo:hi] = seg_max[skip:]
-                buckets.total[lo:hi] = seg_sum[skip:]
-                buckets.count[lo:hi] = tail(seg_count, skip)
-                buckets.usable[lo:hi] = tail(seg_usable, skip)
-            self.size = hi
-            return
-
-        # Late block: locate (and possibly insert) per segment.
-        # Inserts happen at strictly increasing positions, so
-        # earlier indices stay valid.
-        index = np.array([self.locate(float(s)) for s in ustarts], dtype=np.intp)
-        self.samples[index] += seg_rows
-        for channel in values:
             buckets = self.channels[channel]
-            seg_min, seg_max, seg_sum, seg_count, seg_usable = (
-                reduce_segments(channel)
-            )
-            buckets.minimum[index] = np.fmin(buckets.minimum[index], seg_min)
-            buckets.maximum[index] = np.fmax(buckets.maximum[index], seg_max)
-            buckets.total[index] += seg_sum
-            # Scalar/column tallies broadcast across the fancy index.
-            buckets.count[index] += seg_count
-            buckets.usable[index] += seg_usable
+            for ufunc, matrix, source in (
+                (np.fmin, buckets.minimum, block),
+                (np.fmax, buckets.maximum, block),
+                (np.add, buckets.total, ready.zeroed),
+                (np.add, buckets.count, ready.finite),
+                (np.add, buckets.usable, ready.usable),
+            ):
+                acc = matrix[bucket_rows]
+                if source is None:  # every cell counts: add the row tallies
+                    acc += tally
+                elif schedule is None:
+                    ufunc(acc, source if ranked is None else source[ranked], out=acc)
+                else:
+                    addends = source[ranked]
+                    for lo, width in schedule:
+                        part = acc[:width]
+                        ufunc(part, addends[lo : lo + width], out=part)
+                if scatter:
+                    matrix[bucket_rows] = acc
+
+
+def _as_rows(index: np.ndarray):
+    """A strictly increasing row index, as a slice when contiguous."""
+    if int(index[-1]) - int(index[0]) == len(index) - 1:
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
 
 
 @dataclasses.dataclass(frozen=True)
@@ -399,7 +359,7 @@ class RollupStore:
         values: Mapping[Channel, np.ndarray],
         quality: Optional[Mapping[Channel, np.ndarray]] = None,
     ) -> None:
-        """Fold one whole-floor sample into every level.
+        """Fold one whole-floor sample in: a one-row :meth:`add_block`.
 
         Args:
             epoch_s: Sample timestamp.
@@ -408,12 +368,13 @@ class RollupStore:
             quality: Optional parallel quality flags; without them
                 coverage falls back to finite-ness.
         """
-        with self._lock:
-            for level in self._levels:
-                level.add(epoch_s, values, quality)
-            self._version += 1
-            self._mutations.append((self._version, float(epoch_s)))
-            self.ingested_rows += 1
+        self.add_block(
+            np.array([epoch_s], dtype=np.float64),
+            {ch: np.asarray(vector)[None] for ch, vector in values.items()},
+            None
+            if quality is None
+            else {ch: np.asarray(flags)[None] for ch, flags in quality.items()},
+        )
 
     def add_block(
         self,
@@ -424,16 +385,15 @@ class RollupStore:
         """Fold a whole block of samples into every level at once.
 
         Args:
-            epoch_s: ``(timesteps,)`` sample timestamps.
+            epoch_s: ``(timesteps,)`` sample timestamps, in arrival
+                order (late and out-of-order rows are fine).
             values: Channel -> ``(timesteps, racks)`` block.
             quality: Optional parallel quality-flag blocks.
 
         The store version bumps **once per block** (one mutation-
         history entry stamped at the block's earliest timestamp), so
         downstream cache invalidation scales with chunks rather than
-        samples.  Blocks with internally decreasing timestamps fall
-        back to row-at-a-time folding to keep the out-of-order
-        semantics of :meth:`add` exactly.
+        samples.
         """
         epochs = np.asarray(epoch_s, dtype=np.float64)
         if epochs.ndim != 1:
@@ -442,37 +402,26 @@ class RollupStore:
         if n == 0:
             return
         with self._lock:
-            if n > 1 and np.any(epochs[1:] < epochs[:-1]):
-                for i in range(n):
-                    row_values = {ch: block[i] for ch, block in values.items()}
-                    row_quality = (
-                        {ch: block[i] for ch, block in quality.items()}
-                        if quality is not None
-                        else None
+            prepared = {}
+            for channel, block in values.items():
+                finite = np.isfinite(block)
+                clean = bool(finite.all())
+                if quality is not None and channel in quality:
+                    flags = quality[channel]
+                    usable = (flags == _USABLE_FLAGS[0]) | (
+                        flags == _USABLE_FLAGS[1]
                     )
-                    for level in self._levels:
-                        level.add(float(epochs[i]), row_values, row_quality)
-            else:
-                prepared = {}
-                for channel, block in values.items():
-                    finite = np.isfinite(block)
-                    clean = bool(finite.all())
-                    if quality is not None and channel in quality:
-                        flags = quality[channel]
-                        usable = (flags == _USABLE_FLAGS[0]) | (
-                            flags == _USABLE_FLAGS[1]
-                        )
-                        if usable.all():
-                            usable = None
-                    else:
-                        usable = None if clean else finite
-                    prepared[channel] = _PreparedBlock(
-                        zeroed=block if clean else np.where(finite, block, 0.0),
-                        finite=None if clean else finite,
-                        usable=usable,
-                    )
-                for level in self._levels:
-                    level.add_block(epochs, values, prepared)
+                    if usable.all():
+                        usable = None
+                else:
+                    usable = None if clean else finite
+                prepared[channel] = _PreparedBlock(
+                    zeroed=block if clean else np.where(finite, block, 0.0),
+                    finite=None if clean else finite,
+                    usable=usable,
+                )
+            for level in self._levels:
+                level.add_block(epochs, values, prepared)
             self._version += 1
             self._mutations.append((self._version, float(epochs.min())))
             self.ingested_rows += n
@@ -483,13 +432,18 @@ class RollupStore:
         start_epoch_s: float = -np.inf,
         end_epoch_s: float = np.inf,
     ) -> int:
-        """Fold every committed row of a database in; returns the count."""
+        """Fold every committed row of a database in; returns the count.
+
+        Rows go in as :meth:`add_block` calls of up to
+        ``_INGEST_BLOCK_ROWS`` rows, so the version bumps once per
+        block (a year at 300 s is ~2 bumps, not ~105,000).
+        """
         rows = 0
-        for epoch_s, values, quality in database.iter_snapshots(
-            start_epoch_s, end_epoch_s
+        for epochs, values, quality in database.iter_blocks(
+            _INGEST_BLOCK_ROWS, start_epoch_s, end_epoch_s
         ):
-            self.add(epoch_s, values, quality)
-            rows += 1
+            self.add_block(epochs, values, quality)
+            rows += len(epochs)
         return rows
 
     @classmethod
@@ -498,7 +452,7 @@ class RollupStore:
         database: EnvironmentalDatabase,
         resolutions_s: Tuple[float, ...] = DEFAULT_RESOLUTIONS_S,
     ) -> "RollupStore":
-        """The offline construction: one pass over a finished store."""
+        """The offline construction: one columnar pass over a finished store."""
         store = cls(database.num_racks, resolutions_s)
         store.ingest_database(database)
         return store
@@ -578,8 +532,10 @@ class RollupStore:
 
     @property
     def version(self) -> int:
-        """Monotonic ingest counter (one bump per :meth:`add` or
-        :meth:`add_block` call)."""
+        """Monotonic ingest counter: one bump per :meth:`add_block` call
+        (:meth:`add` is a one-row block).  A store built by
+        :meth:`from_database` therefore starts at one version per
+        ``_INGEST_BLOCK_ROWS``-row block, not one per row."""
         with self._lock:
             return self._version
 

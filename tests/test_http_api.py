@@ -268,6 +268,20 @@ class TestDispatcherNeverRaises:
         assert counters.client_errors == 1
         assert counters.server_errors == 0
 
+    def test_metrics_failure_is_counted_not_swallowed(self, monkeypatch):
+        database = _database()
+        app = OperationsApp.from_database(database)
+
+        def boom(flush=True):
+            raise RuntimeError("digest unavailable")
+
+        monkeypatch.setattr(database, "digest_info", boom)
+        status, payload, _ = app.handle("GET", "/metrics", {})
+        assert status == 200
+        assert "dataset" not in payload
+        assert payload["server"]["metrics_errors"] == 1
+        assert app.counters.metrics_errors == 1
+
 
 class TestOverSocket:
     """The nastiest cases again, through a real HTTP connection."""

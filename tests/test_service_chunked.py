@@ -4,9 +4,10 @@ The bus publishes :class:`BusChunk` blocks (N timesteps x racks per
 channel) and every first-class subscriber consumes them vectorized.
 These tests pin the contract that makes that safe: **chunked delivery
 is a pure transport optimization** — rollups, predictions, alarms, and
-alerts are identical to per-sample delivery at any chunk size (rollup
-totals to 1e-9 from re-association; everything else exactly), and the
-backpressure counters reconcile in both units (samples and chunks).
+alerts are bit-identical to per-sample delivery at any chunk size (the
+rollup fold sums each bucket in its rows' arrival order, so totals do
+not re-associate), and the backpressure counters reconcile in both
+units (samples and chunks).
 """
 
 import dataclasses
@@ -186,20 +187,19 @@ class TestRollupBlockEquivalence:
                 np.testing.assert_array_equal(
                     buckets.usable[:n], expect.usable[:n]
                 )
-                # Extrema fold in the same order: exactly equal.
                 np.testing.assert_array_equal(
                     buckets.minimum[:n], expect.minimum[:n]
                 )
                 np.testing.assert_array_equal(
                     buckets.maximum[:n], expect.maximum[:n]
                 )
-                # Totals re-associate once per merged bucket: 1e-9.
-                np.testing.assert_allclose(
-                    buckets.total[:n], expect.total[:n], rtol=1e-9, atol=1e-9
+                np.testing.assert_array_equal(
+                    buckets.total[:n], expect.total[:n]
                 )
 
     def test_out_of_order_block_falls_back_to_per_row(self, rng):
-        """A block with internally decreasing epochs still lands right."""
+        """A block with internally decreasing epochs lands exactly as
+        the same rows added one at a time."""
         epochs = np.arange(50, dtype="float64") * 60.0
         rng.shuffle(epochs)
         values = rng.normal(size=(50, _RACKS))
@@ -221,9 +221,7 @@ class TestRollupBlockEquivalence:
         np.testing.assert_array_equal(
             mine.minimum[:n], theirs.minimum[:n]
         )
-        np.testing.assert_allclose(
-            mine.total[:n], theirs.total[:n], rtol=1e-9, atol=1e-9
-        )
+        np.testing.assert_array_equal(mine.total[:n], theirs.total[:n])
 
     def test_version_bumps_once_per_block(self):
         store = RollupStore(num_racks=_RACKS)

@@ -66,15 +66,13 @@ class TestRawLevelEquivalence:
         np.testing.assert_array_equal(window.count, finite.astype(np.int64))
         usable = (flags == int(Quality.OK)) | (flags == int(Quality.SUSPECT))
         np.testing.assert_array_equal(window.usable, usable.astype(np.int64))
-        np.testing.assert_allclose(
-            window.total, np.where(finite, values, 0.0), rtol=1e-9, atol=0.0
-        )
+        np.testing.assert_array_equal(window.total, np.where(finite, values, 0.0))
         # Single-sample buckets: min == max == the cell itself.
-        np.testing.assert_allclose(
-            window.minimum, np.where(finite, values, np.nan), rtol=1e-9
+        np.testing.assert_array_equal(
+            window.minimum, np.where(finite, values, np.nan)
         )
-        np.testing.assert_allclose(
-            window.maximum, np.where(finite, values, np.nan), rtol=1e-9
+        np.testing.assert_array_equal(
+            window.maximum, np.where(finite, values, np.nan)
         )
 
     def test_bucket_epochs_are_the_sample_epochs(
