@@ -18,7 +18,8 @@ midplanes first, which keeps partitions reasonably contiguous.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import itertools
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +36,9 @@ TOTAL_MIDPLANES = constants.NUM_RACKS * MIDPLANES_PER_RACK
 
 #: Columns with user-affinity hotspots (Section IV-A).
 AFFINITY_COLUMNS = (0x2, 0x6, 0xA, 0xB)
+
+#: Order-variant indices drawn per refill of the allocator's buffer.
+VARIANT_BLOCK = 4096
 
 
 def rack_of_midplane(midplane_id: int) -> int:
@@ -72,7 +76,10 @@ class MidplaneAllocator:
         self._rng = rng if rng is not None else np.random.default_rng(12)
         #: midplane id -> job id, or None when free/blocked.
         self._owner: List[Optional[int]] = [None] * TOTAL_MIDPLANES
-        self._blocked: np.ndarray = np.zeros(TOTAL_MIDPLANES, dtype=bool)
+        self._blocked: List[bool] = [False] * TOTAL_MIDPLANES
+        #: Count of midplanes neither owned nor blocked.
+        self._free = TOTAL_MIDPLANES
+        self._variants: Iterator[int] = iter(())
         self._affinity = self._build_affinity()
         #: Precomputed allocation-order variants per preferred row.
         self._order_by_row: Dict[int, List[Tuple[int, ...]]] = {
@@ -133,23 +140,40 @@ class MidplaneAllocator:
         Running jobs on those racks are unaffected; callers kill them
         separately if the block is an outage.
         """
-        for rack in rack_indices:
-            for mp in (rack * MIDPLANES_PER_RACK, rack * MIDPLANES_PER_RACK + 1):
-                self._blocked[mp] = True
+        self._set_blocked(rack_indices, True)
 
     def unblock_racks(self, rack_indices: Sequence[int]) -> None:
         """Return racks to the allocatable pool."""
+        self._set_blocked(rack_indices, False)
+
+    def _set_blocked(self, rack_indices: Sequence[int], blocked: bool) -> None:
         for rack in rack_indices:
             for mp in (rack * MIDPLANES_PER_RACK, rack * MIDPLANES_PER_RACK + 1):
-                self._blocked[mp] = False
+                if self._blocked[mp] != blocked:
+                    self._blocked[mp] = blocked
+                    if self._owner[mp] is None:
+                        self._free += -1 if blocked else 1
 
     @property
     def blocked_racks(self) -> Tuple[int, ...]:
-        """Flat indices of currently blocked racks."""
-        blocked = self._blocked.reshape(-1, MIDPLANES_PER_RACK).any(axis=1)
-        return tuple(int(i) for i in np.flatnonzero(blocked))
+        """Flat indices of currently blocked racks (blocks are whole racks)."""
+        racks = range(constants.NUM_RACKS)
+        return tuple(r for r in racks if self._blocked[r * MIDPLANES_PER_RACK])
 
     # -- allocation ----------------------------------------------------------------
+
+    def _next_order(self, queue: QueueName) -> Tuple[int, ...]:
+        """The next random precomputed order variant for ``queue``.
+
+        Indices come in blocks; a block draw equals as many scalar draws,
+        and nothing else draws from this generator after construction.
+        """
+        index = next(self._variants, None)
+        if index is None:
+            block = self._rng.integers(self.ORDER_VARIANTS, size=VARIANT_BLOCK)
+            self._variants = iter(block.tolist())
+            index = next(self._variants)
+        return self._order_by_row[queue.preferred_row][index]
 
     def free_midplanes(self, queue: QueueName) -> List[int]:
         """Free, unblocked midplanes in this queue's preference order.
@@ -157,28 +181,28 @@ class MidplaneAllocator:
         A random precomputed order variant is used each call so that
         idle capacity rotates across the floor.
         """
-        variants = self._order_by_row[queue.preferred_row]
-        order = variants[int(self._rng.integers(len(variants)))]
+        order = self._next_order(queue)
         return [
             mp for mp in order if self._owner[mp] is None and not self._blocked[mp]
         ]
 
     def free_count(self) -> int:
         """Number of allocatable midplanes right now."""
-        return sum(
-            1
-            for mp in range(TOTAL_MIDPLANES)
-            if self._owner[mp] is None and not self._blocked[mp]
-        )
+        return self._free
 
     def try_allocate(self, job: Job) -> Optional[Tuple[int, ...]]:
-        """Reserve midplanes for a job, or return None if it cannot fit."""
-        candidates = self.free_midplanes(job.queue)
-        if len(candidates) < job.midplanes:
+        """Reserve midplanes for a job, or return None if it cannot fit.
+
+        Every attempt draws a variant; only the free count decides fit.
+        """
+        order = self._next_order(job.queue)
+        if self._free < job.midplanes:
             return None
-        chosen = tuple(candidates[: job.midplanes])
+        free = (mp for mp in order if self._owner[mp] is None and not self._blocked[mp])
+        chosen = tuple(itertools.islice(free, job.midplanes))
         for mp in chosen:
             self._owner[mp] = job.job_id
+        self._free -= job.midplanes
         return chosen
 
     def claim(self, job_id: int, midplane_ids: Sequence[int]) -> None:
@@ -191,6 +215,8 @@ class MidplaneAllocator:
             if self._owner[mp] is not None:
                 raise ValueError(f"midplane {mp} already owned by {self._owner[mp]}")
         for mp in midplane_ids:
+            if self._owner[mp] is None and not self._blocked[mp]:
+                self._free -= 1
             self._owner[mp] = job_id
 
     def release(self, job: Job) -> None:
@@ -207,6 +233,8 @@ class MidplaneAllocator:
                     f"(owner: {self._owner[mp]})"
                 )
             self._owner[mp] = None
+            if not self._blocked[mp]:
+                self._free += 1
 
     # -- occupancy views -------------------------------------------------------------
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import heapq
+import itertools
 from typing import Deque, List, Optional, Tuple
 
 import numpy as np
@@ -88,14 +89,29 @@ class ReservationPolicy:
 
 @dataclasses.dataclass(frozen=True)
 class SchedulerState:
-    """Per-step scheduler output consumed by the telemetry models."""
+    """Per-step scheduler output consumed by the telemetry models.
+
+    Carries raw per-rack snapshots (busy midplanes, their summed
+    intensity); the rack vectors derive from them on access.
+    """
 
     epoch_s: float
-    rack_utilization: np.ndarray
-    rack_intensity: np.ndarray
+    rack_busy: Tuple[float, ...]
+    rack_intensity_sum: Tuple[float, ...]
     in_maintenance: bool
     running_jobs: int
     queued_jobs: int
+
+    @property
+    def rack_utilization(self) -> np.ndarray:
+        """Fraction of each rack's midplanes running a job."""
+        return np.asarray(self.rack_busy) / MIDPLANES_PER_RACK
+
+    @property
+    def rack_intensity(self) -> np.ndarray:
+        """Mean CPU intensity of each rack's busy midplanes (1.0 if idle)."""
+        busy, load = np.asarray(self.rack_busy), np.asarray(self.rack_intensity_sum)
+        return np.where(busy > 0.5, load / np.maximum(busy, 1.0), 1.0)
 
     @property
     def system_utilization(self) -> float:
@@ -160,8 +176,8 @@ class MiraScheduler:
         #: Incremental per-rack occupancy accumulators, maintained on
         #: every job start/release so the per-step rack vectors cost
         #: O(racks) instead of O(running jobs x midplanes).
-        self._rack_busy = np.zeros(constants.NUM_RACKS)
-        self._rack_intensity_sum = np.zeros(constants.NUM_RACKS)
+        self._rack_busy = [0.0] * constants.NUM_RACKS
+        self._rack_intensity_sum = [0.0] * constants.NUM_RACKS
 
     # -- introspection -------------------------------------------------------
 
@@ -187,19 +203,30 @@ class MiraScheduler:
 
     # -- occupancy accounting --------------------------------------------------
 
-    def _occupy(self, job: Job) -> None:
-        """Add a started job's midplanes to the rack accumulators."""
+    def _occupy(self, job: Job, epoch_s: float, placement: Tuple[int, ...]) -> None:
+        """Start a placed job and add its midplanes to the accumulators."""
+        job.start(epoch_s, placement)
+        self.stats.on_start(job, epoch_s)
+        busy, load, intensity = self._rack_busy, self._rack_intensity_sum, job.intensity
         for mp in job.assigned_midplanes:
-            rack = rack_of_midplane(mp)
-            self._rack_busy[rack] += 1.0
-            self._rack_intensity_sum[rack] += job.intensity
+            rack = mp // MIDPLANES_PER_RACK
+            busy[rack] += 1.0
+            load[rack] += intensity
 
-    def _vacate(self, job: Job) -> None:
-        """Remove a finished/killed job's midplanes from the accumulators."""
+    def _vacate(self, job: Job, killed_at: Optional[float] = None) -> None:
+        """Complete (or kill, at ``killed_at``) a running job and free it."""
+        if killed_at is None:
+            job.complete()
+            self.stats.on_complete(job)
+        else:
+            job.kill(killed_at)
+            self.stats.on_kill(job)
+        self.allocator.release(job)
+        busy, load, intensity = self._rack_busy, self._rack_intensity_sum, job.intensity
         for mp in job.assigned_midplanes:
-            rack = rack_of_midplane(mp)
-            self._rack_busy[rack] -= 1.0
-            self._rack_intensity_sum[rack] -= job.intensity
+            rack = mp // MIDPLANES_PER_RACK
+            busy[rack] -= 1.0
+            load[rack] -= intensity
 
     # -- maintenance window ----------------------------------------------------
 
@@ -236,11 +263,8 @@ class MiraScheduler:
         # following day rather than instantly (avoiding an artificial
         # post-maintenance utilization spike).
         for _, _, job in self._running:
-            job.kill(epoch_s)
             self._killed_count += 1
-            self.stats.on_kill(job)
-            self.allocator.release(job)
-            self._vacate(job)
+            self._vacate(job, killed_at=epoch_s)
             resubmit_at = epoch_s + float(self._rng.uniform(0.0, timeutil.DAY_S))
             requeued = dataclasses.replace(
                 job,
@@ -261,17 +285,12 @@ class MiraScheduler:
                 epoch_s, duration, self.maintenance.burner_intensity
             )
             self.allocator.claim(burner.job_id, (mp,))
-            burner.start(epoch_s, (mp,))
-            self._occupy(burner)
-            self.stats.on_start(burner, epoch_s)
+            self._occupy(burner, epoch_s, (mp,))
             self._burners.append(burner)
 
     def _exit_maintenance(self, epoch_s: float) -> None:
         self._maintenance_until = None
         for burner in self._burners:
-            burner.complete()
-            self.stats.on_complete(burner)
-            self.allocator.release(burner)
             self._vacate(burner)
         self._burners.clear()
 
@@ -308,19 +327,14 @@ class MiraScheduler:
     def _complete_finished(self, epoch_s: float) -> None:
         while self._running and self._running[0][0] <= epoch_s:
             _, _, job = heapq.heappop(self._running)
-            job.complete()
             self._completed_count += 1
-            self.stats.on_complete(job)
-            self.allocator.release(job)
             self._vacate(job)
 
     def _start_job(self, job: Job, epoch_s: float) -> bool:
         placement = self.allocator.try_allocate(job)
         if placement is None:
             return False
-        job.start(epoch_s, placement)
-        self._occupy(job)
-        self.stats.on_start(job, epoch_s)
+        self._occupy(job, epoch_s, placement)
         heapq.heappush(self._running, (job.end_epoch_s, job.job_id, job))
         return True
 
@@ -347,12 +361,15 @@ class MiraScheduler:
         # Head job blocked: compute its shadow time, then backfill.
         head = self._queue[0]
         shadow = self._shadow_time(epoch_s, head.midplanes)
-        scan = list(self._queue)[1 : 1 + self.backfill_depth]
-        for job in scan:
-            if epoch_s + job.walltime_s > shadow:
-                continue
-            if self._start_job(job, epoch_s):
-                self._queue.remove(job)
+        started = [
+            position
+            for position, job in enumerate(
+                itertools.islice(self._queue, 1, 1 + self.backfill_depth), start=1
+            )
+            if epoch_s + job.walltime_s <= shadow and self._start_job(job, epoch_s)
+        ]
+        for position in reversed(started):
+            del self._queue[position]
 
     # -- rack outages (failure path) --------------------------------------------------------
 
@@ -372,12 +389,9 @@ class MiraScheduler:
         for end, job_id, job in self._running:
             touches = any(rack_of_midplane(mp) in failed for mp in job.assigned_midplanes)
             if touches:
-                job.kill(epoch_s)
                 self._killed_count += 1
-                self.stats.on_kill(job)
                 killed += 1
-                self.allocator.release(job)
-                self._vacate(job)
+                self._vacate(job, killed_at=epoch_s)
             else:
                 survivors.append((end, job_id, job))
         self._running = survivors
@@ -389,10 +403,7 @@ class MiraScheduler:
             if any(rack_of_midplane(mp) in failed for mp in b.assigned_midplanes)
         ]
         for burner in doomed_burners:
-            burner.kill(epoch_s)
-            self.stats.on_kill(burner)
-            self.allocator.release(burner)
-            self._vacate(burner)
+            self._vacate(burner, killed_at=epoch_s)
             self._burners.remove(burner)
         self.allocator.block_racks(sorted(failed))
         return killed
@@ -400,23 +411,6 @@ class MiraScheduler:
     def recover_racks(self, rack_indices: Tuple[int, ...]) -> None:
         """Bring failed racks back into the allocatable pool."""
         self.allocator.unblock_racks(sorted(set(rack_indices)))
-
-    # -- per-rack outputs -----------------------------------------------------------------
-
-    def _rack_vectors(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-rack utilization/intensity from the incremental accumulators.
-
-        The accumulators are updated on every job start/release, so
-        this is O(racks) per step rather than a scan over every running
-        job's midplanes (which dominated the engine profile at long
-        horizons).
-        """
-        busy = self._rack_busy
-        utilization = busy / MIDPLANES_PER_RACK
-        intensity = np.where(
-            busy > 0.5, self._rack_intensity_sum / np.maximum(busy, 1.0), 1.0
-        )
-        return utilization, intensity
 
     # -- the step -----------------------------------------------------------------------
 
@@ -462,11 +456,10 @@ class MiraScheduler:
         if self._maintenance_until is None:
             self._schedule(epoch_s)
         self.stats.on_step(len(self._queue))
-        utilization, intensity = self._rack_vectors()
         return SchedulerState(
             epoch_s=epoch_s,
-            rack_utilization=utilization,
-            rack_intensity=intensity,
+            rack_busy=tuple(self._rack_busy),
+            rack_intensity_sum=tuple(self._rack_intensity_sum),
             in_maintenance=self._maintenance_until is not None,
             running_jobs=len(self._running),
             queued_jobs=len(self._queue),

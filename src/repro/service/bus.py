@@ -205,10 +205,10 @@ class Subscription:
         self._queue: collections.deque = collections.deque()
         self._cond = threading.Condition()
         self._closed = False
+        #: Started by :meth:`ReplayBus.run`: an unrun bus holds no threads.
         self._worker = threading.Thread(
             target=self._drain, name=f"bus-sub-{name}", daemon=True
         )
-        self._worker.start()
 
     # -- publisher side -----------------------------------------------------------
 
@@ -277,8 +277,13 @@ class Subscription:
             self._closed = True
             self._cond.notify_all()
 
+    def _start(self) -> None:
+        if self._worker.ident is None:
+            self._worker.start()
+
     def _join(self, timeout_s: float) -> None:
-        self._worker.join(timeout=timeout_s)
+        if self._worker.ident is not None:
+            self._worker.join(timeout=timeout_s)
 
     # -- consumer side ------------------------------------------------------------
 
@@ -416,7 +421,7 @@ class ReplayBus:
         policy: str = "block",
         delivery: str = "samples",
     ) -> Subscription:
-        """Register a consumer; its worker thread starts immediately.
+        """Register a consumer; its worker thread starts with :meth:`run`.
 
         Args:
             delivery: ``"samples"`` (default) invokes ``callback`` once
@@ -497,6 +502,8 @@ class ReplayBus:
         processed its backlog (subscribers under lossy policies only
         process what survived their queues).
         """
+        for subscription in self._subscriptions:
+            subscription._start()
         pace = np.isfinite(self.speedup)
         started = time.perf_counter()
         next_wall = started

@@ -26,7 +26,8 @@ same failure schedule, so telemetry and log lines agree.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple
+import math
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from repro.failures.cmf import CmfSchedule, PrecursorSignature
 from repro.failures.noncmf import AftermathProcess, NonCmfFailure
 from repro.failures.storms import StormGenerator
 from repro.faults import FaultInjector, FaultTruth
+from repro.scheduler.jobs import Job
 from repro.scheduler.scheduler import MiraScheduler
 from repro.scheduler.workload import WorkloadGenerator
 from repro.simulation.config import SimulationConfig
@@ -191,21 +193,13 @@ class FacilityEngine:
         excursions.sort(key=lambda e: e.start_epoch_s)
         return excursions
 
-    def _excursion_delta_f(self, epoch_s: float) -> float:
-        return sum(
-            e.magnitude_f
-            for e in self._excursions
-            if e.start_epoch_s <= epoch_s < e.end_epoch_s
-        )
-
     def _excursion_delta_grid_f(self, grid: np.ndarray) -> np.ndarray:
         """Excursion temperature deltas over a whole sorted time grid.
 
-        A difference array over the grid replaces the per-step O(events)
-        scan of :meth:`_excursion_delta_f`: each excursion contributes
-        +magnitude at its first covered step and -magnitude at the
-        first step past its end, and a cumulative sum recovers the
-        per-step totals.
+        A difference array over the grid replaces a per-step O(events)
+        scan: each excursion contributes +magnitude at its first covered
+        step and -magnitude at the first step past its end, and a
+        cumulative sum recovers the per-step totals.
         """
         deltas = np.zeros(len(grid) + 1)
         for excursion in self._excursions:
@@ -217,26 +211,9 @@ class FacilityEngine:
 
     # -- Theta heat load ---------------------------------------------------------------
 
-    def _theta_supply_excess_f(self, epoch_s: float) -> float:
-        """Supply-temperature excess from Theta's early-testing heat load."""
-        theta = self.config.theta
-        if not theta.enabled:
-            return 0.0
-        added = timeutil.to_epoch(theta.addition_date)
-        settled = timeutil.to_epoch(theta.settled_date)
-        ramp_s = theta.ramp_days * timeutil.DAY_S
-        if epoch_s < added:
-            return 0.0
-        if epoch_s < added + ramp_s:
-            return theta.heat_excess_f * (epoch_s - added) / ramp_s
-        if epoch_s < settled:
-            return theta.heat_excess_f
-        if epoch_s < settled + ramp_s:
-            return theta.heat_excess_f * (1.0 - (epoch_s - settled) / ramp_s)
-        return 0.0
-
     def _theta_supply_excess_grid_f(self, grid: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_theta_supply_excess_f` over a time grid."""
+        """Theta's early-testing supply excess over a grid (a trapezoid:
+        ramp up at the addition date, ramp down after the settled date)."""
         theta = self.config.theta
         if not theta.enabled:
             return np.zeros(len(grid))
@@ -305,6 +282,65 @@ class FacilityEngine:
                 )
         return inlet, outlet, flow, humidity
 
+    # -- the sequential pass ----------------------------------------------------------
+
+    def _sequential_pass(
+        self, grid: np.ndarray, arrivals_by_step: List[List[Job]]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-step ``(utilization, intensity, powered)``, ``(steps, racks)``.
+
+        The loop keeps scalar failure bookkeeping and stacks the
+        scheduler's raw rack snapshots; the rack vectors and power mask
+        are derived grid-wide afterwards.
+        """
+        num_steps, num_racks, dt_s = len(grid), constants.NUM_RACKS, self.config.dt_s
+        # Failures fire at the first step whose horizon t + dt passes
+        # their time (both streams are time-sorted), CMF events first.
+        cmf_events = self.schedule.events if self.schedule is not None else ()
+        failures = [
+            (e.epoch_s, e.rack_id.flat_index, e.recovery_epoch_s) for e in cmf_events
+        ] + [
+            (f.epoch_s, f.rack_id.flat_index, f.epoch_s + constants.NONCMF_DEDUP_WINDOW_S)
+            for f in self.noncmf_failures
+        ]
+        steps = np.searchsorted(grid + dt_s, [f[0] for f in failures], side="right")
+        firings = sorted(zip(steps.tolist(), failures), key=lambda f: f[0])
+
+        scheduler = self.scheduler
+        busy = np.empty((num_steps, num_racks))
+        load = np.empty((num_steps, num_racks))
+        down_until = [0.0] * num_racks
+        failed: Set[int] = set()
+        next_recovery = math.inf
+        pending = firings + [(num_steps, ())]  # the sentinel never fires
+        fired = 0
+        for index, t in enumerate(grid.tolist()):
+            if next_recovery <= t:
+                recovered = tuple(r for r in sorted(failed) if down_until[r] <= t)
+                if recovered:
+                    scheduler.recover_racks(recovered)
+                    failed.difference_update(recovered)
+                next_recovery = min((down_until[r] for r in failed), default=math.inf)
+            while pending[fired][0] == index:
+                epoch_s, rack, until = pending[fired][1]
+                scheduler.fail_racks((rack,), epoch_s)
+                down_until[rack] = max(down_until[rack], until)
+                failed.add(rack)
+                next_recovery = min(next_recovery, down_until[rack])
+                fired += 1
+            state = scheduler.step(t, dt_s, arrivals=arrivals_by_step[index])
+            busy[index] = state.rack_busy
+            load[index] = state.rack_intensity_sum
+
+        # A rack is powered at a step unless a failure fired at or before
+        # it whose outage ends after it.
+        powered = np.ones((num_steps, num_racks), dtype=bool)
+        for step, (_, rack, until) in firings:
+            powered[step : np.searchsorted(grid, until, side="left"), rack] = False
+        utilization = np.where(powered, busy / constants.MIDPLANES_PER_RACK, 0.0)
+        intensity = np.where(busy > 0.5, load / np.maximum(busy, 1.0), 1.0)
+        return utilization, intensity, powered
+
     # -- the run ------------------------------------------------------------------------
 
     #: Steps per vectorized telemetry chunk.  Large enough to amortize
@@ -324,9 +360,7 @@ class FacilityEngine:
            deltas) is evaluated once over the whole grid.
         2. **Sequential pass** — the stateful scheduler and the failure
            processes advance step by step (they must: job placement and
-           rack outages feed back), writing per-rack utilization,
-           intensity, and power state into preallocated
-           ``(steps, racks)`` buffers.
+           rack outages feed back); see :meth:`_sequential_pass`.
         3. **Vector pass** — power, precursor factors, cooling, and
            ambient telemetry are computed over ``CHUNK_STEPS``-sized
            blocks with per-chunk batched noise draws, and bulk-ingested
@@ -352,76 +386,22 @@ class FacilityEngine:
             grid, cfg.dt_s, rates_per_hour=arrival_rates
         )
 
-        # Failure bookkeeping.
-        if self.schedule is not None:
-            cmf_times, cmf_racks, _ = self.schedule.event_time_matrix()
-            cmf_recoveries = np.array(
-                [e.recovery_epoch_s for e in self.schedule.events]
-            )
-        else:
-            cmf_times = np.empty(0)
-            cmf_racks = np.empty(0, dtype=int)
-            cmf_recoveries = np.empty(0)
-        cmf_pointer = 0
-        noncmf_pointer = 0
-        down_until = np.zeros(num_racks)
-        blocked_by_failure = np.zeros(num_racks, dtype=bool)
-
-        # Per-rack precursor event tables for the vector pass.
+        # Failure bookkeeping, with per-rack precursor event tables for
+        # the vector pass.
         rack_events: Optional[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
+        cmf_times, cmf_racks = np.empty(0), np.empty(0, dtype=int)
         if self.schedule is not None:
-            condensation_all = np.array(
-                [e.reason == "condensation_risk" for e in self.schedule.events]
-            )
-            severity_all = np.array([e.severity for e in self.schedule.events])
-            rack_events = []
-            for flat in range(num_racks):
-                mask = cmf_racks == flat
-                rack_events.append(
-                    (cmf_times[mask], severity_all[mask], condensation_all[mask])
-                )
+            cmf_times, cmf_racks, condensation = self.schedule.event_time_matrix()
+            severity = np.array([e.severity for e in self.schedule.events])
+            rack_events = [
+                (cmf_times[mask], severity[mask], condensation[mask])
+                for mask in (cmf_racks == flat for flat in range(num_racks))
+            ]
 
         # -- Phase 2: sequential scheduler/failure pass ----------------------
-        utilization = np.empty((num_steps, num_racks))
-        intensity = np.empty((num_steps, num_racks))
-        powered_mask = np.empty((num_steps, num_racks), dtype=bool)
-        num_cmfs = len(cmf_times)
-        num_noncmf = len(self.noncmf_failures)
-
-        for index in range(num_steps):
-            t = grid[index]
-            # Failure firing and recovery.
-            recovered = blocked_by_failure & (down_until <= t)
-            if recovered.any():
-                racks = tuple(int(i) for i in np.flatnonzero(recovered))
-                self.scheduler.recover_racks(racks)
-                blocked_by_failure[list(racks)] = False
-            while cmf_pointer < num_cmfs and cmf_times[cmf_pointer] < t + cfg.dt_s:
-                rack = int(cmf_racks[cmf_pointer])
-                self.scheduler.fail_racks((rack,), float(cmf_times[cmf_pointer]))
-                down_until[rack] = max(down_until[rack], cmf_recoveries[cmf_pointer])
-                blocked_by_failure[rack] = True
-                cmf_pointer += 1
-            while (
-                noncmf_pointer < num_noncmf
-                and self.noncmf_failures[noncmf_pointer].epoch_s < t + cfg.dt_s
-            ):
-                failure = self.noncmf_failures[noncmf_pointer]
-                rack = failure.rack_id.flat_index
-                self.scheduler.fail_racks((rack,), failure.epoch_s)
-                down_until[rack] = max(
-                    down_until[rack], failure.epoch_s + constants.NONCMF_DEDUP_WINDOW_S
-                )
-                blocked_by_failure[rack] = True
-                noncmf_pointer += 1
-            powered = down_until <= t
-
-            state = self.scheduler.step(
-                t, cfg.dt_s, arrivals=arrivals_by_step[index]
-            )
-            utilization[index] = np.where(powered, state.rack_utilization, 0.0)
-            intensity[index] = state.rack_intensity
-            powered_mask[index] = powered
+        utilization, intensity, powered_mask = self._sequential_pass(
+            grid, arrivals_by_step
+        )
 
         # -- Phase 3: chunked vector telemetry -------------------------------
         noise = cfg.noise

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import constants
 from repro.scheduler.allocator import (
     MIDPLANES_PER_RACK,
+    VARIANT_BLOCK,
     MidplaneAllocator,
     TOTAL_MIDPLANES,
     rack_of_midplane,
@@ -154,3 +157,89 @@ class TestOccupancy:
         assert occupancy[0] == pytest.approx(0.5)
         assert occupancy[1] == pytest.approx(1.0)
         assert occupancy[2] == pytest.approx(0.0)
+
+
+_RACK_LISTS = st.lists(st.integers(0, constants.NUM_RACKS - 1), max_size=6)
+_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("block"), _RACK_LISTS),
+        st.tuples(st.just("unblock"), _RACK_LISTS),
+        st.tuples(st.just("claim"), st.integers(0, TOTAL_MIDPLANES - 1)),
+        st.tuples(st.just("release"), st.integers(0, 10_000)),
+        st.tuples(
+            st.just("allocate"),
+            st.sampled_from([1, 2, 4, 8, 16, 32, 64, 96]),
+            st.sampled_from(list(QueueName)),
+        ),
+    ),
+    max_size=60,
+)
+
+
+def _brute_force_free(allocator):
+    blocked = set(allocator.blocked_racks)
+    return sum(
+        1
+        for mp, owner in enumerate(allocator.midplane_owners())
+        if owner is None and rack_of_midplane(mp) not in blocked
+    )
+
+
+class TestFreeCountProperty:
+    """The incremental free count equals a brute-force count after any
+    interleaving of (overlapping, repeated) blocks and unblocks, claims
+    (blocked midplanes included), releases and allocation attempts."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_OPERATIONS)
+    def test_free_count_matches_brute_force(self, operations):
+        allocator = MidplaneAllocator(rng=np.random.default_rng(5))
+        running = []
+        for job_id, (kind, *args) in enumerate(operations, start=1):
+            if kind == "block":
+                allocator.block_racks(args[0])
+            elif kind == "unblock":
+                allocator.unblock_racks(args[0])
+            elif kind == "claim":
+                (mp,) = args
+                if allocator.midplane_owners()[mp] is None:
+                    job = _job(job_id, 1)
+                    allocator.claim(job_id, (mp,))
+                    job.start(0.0, (mp,))
+                    running.append(job)
+            elif kind == "release":
+                if running:
+                    allocator.release(running.pop(args[0] % len(running)))
+            else:
+                size, queue = args
+                free_before = _brute_force_free(allocator)
+                job = _job(job_id, size, queue=queue)
+                placement = allocator.try_allocate(job)
+                assert (placement is None) == (free_before < size)
+                if placement is not None:
+                    assert len(set(placement)) == size
+                    job.start(0.0, placement)
+                    running.append(job)
+            assert allocator.free_count() == _brute_force_free(allocator)
+
+
+class TestVariantBlockContract:
+    """The allocator serves its order variants from block draws.  That
+    is only bit-identical to one scalar draw per attempt because numpy
+    yields the same values, and leaves the same generator state, for
+    ``integers(k, size=n)`` as for n scalar ``integers(k)`` calls.  If a
+    numpy upgrade breaks this, placements (and every realization)
+    change; this test names the cause."""
+
+    @pytest.mark.parametrize("n", [1, 7, VARIANT_BLOCK, 100_001])
+    def test_block_draw_equals_scalar_draws(self, n):
+        variants = MidplaneAllocator.ORDER_VARIANTS
+        block_rng = np.random.default_rng(20_140_101)
+        scalar_rng = np.random.default_rng(20_140_101)
+        for rng in (block_rng, scalar_rng):
+            rng.uniform(0.0, 64.0, size=TOTAL_MIDPLANES)  # as the order jitter
+            rng.integers(variants)  # leave half a 64-bit word buffered
+        block = block_rng.integers(variants, size=n).tolist()
+        scalars = [int(scalar_rng.integers(variants)) for _ in range(n)]
+        assert block == scalars
+        assert block_rng.bit_generator.state == scalar_rng.bit_generator.state

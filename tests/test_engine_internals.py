@@ -12,6 +12,14 @@ from repro.simulation.scenarios import MiraScenario
 from repro.telemetry.records import Channel
 
 
+def _theta_excess(engine, epoch_s):
+    return float(engine._theta_supply_excess_grid_f(np.array([epoch_s]))[0])
+
+
+def _excursion_delta(engine, epoch_s):
+    return float(engine._excursion_delta_grid_f(np.array([epoch_s]))[0])
+
+
 class TestThetaExcess:
     @pytest.fixture
     def engine(self):
@@ -19,25 +27,25 @@ class TestThetaExcess:
 
     def test_zero_before_addition(self, engine):
         before = timeutil.to_epoch(dt.datetime(2016, 5, 1))
-        assert engine._theta_supply_excess_f(before) == 0.0
+        assert _theta_excess(engine, before) == 0.0
 
     def test_peak_during_testing(self, engine):
         mid = timeutil.to_epoch(dt.datetime(2016, 10, 1))
-        assert engine._theta_supply_excess_f(mid) == pytest.approx(
+        assert _theta_excess(engine, mid) == pytest.approx(
             engine.config.theta.heat_excess_f
         )
 
     def test_ramps_in(self, engine):
         added = timeutil.to_epoch(constants.THETA_ADDITION_DATE)
         ramp_s = engine.config.theta.ramp_days * timeutil.DAY_S
-        halfway = engine._theta_supply_excess_f(added + ramp_s / 2)
+        halfway = _theta_excess(engine, added + ramp_s / 2)
         assert halfway == pytest.approx(engine.config.theta.heat_excess_f / 2, rel=0.05)
 
     def test_decays_after_settled(self, engine):
         settled = timeutil.to_epoch(constants.THETA_SETTLED_DATE)
         ramp_s = engine.config.theta.ramp_days * timeutil.DAY_S
-        assert engine._theta_supply_excess_f(settled + 2 * ramp_s) == 0.0
-        partway = engine._theta_supply_excess_f(settled + ramp_s / 2)
+        assert _theta_excess(engine, settled + 2 * ramp_s) == 0.0
+        partway = _theta_excess(engine, settled + ramp_s / 2)
         assert 0.0 < partway < engine.config.theta.heat_excess_f
 
 
@@ -50,10 +58,10 @@ class TestExcursions:
     def test_excursion_delta_active_only_inside_window(self):
         engine = FacilityEngine(MiraScenario.demo(days=365, seed=9))
         excursion = engine._excursions[0]
-        inside = engine._excursion_delta_f(
+        inside = _excursion_delta(engine, 
             (excursion.start_epoch_s + excursion.end_epoch_s) / 2
         )
-        outside = engine._excursion_delta_f(excursion.start_epoch_s - 1.0)
+        outside = _excursion_delta(engine, excursion.start_epoch_s - 1.0)
         assert inside >= excursion.magnitude_f
         assert outside < inside
 
@@ -110,7 +118,7 @@ class TestConfigSurface:
         )
         engine = FacilityEngine(config)
         peak = timeutil.to_epoch(dt.datetime(2016, 10, 1))
-        assert engine._theta_supply_excess_f(peak) == pytest.approx(4.0)
+        assert _theta_excess(engine, peak) == pytest.approx(4.0)
 
 
 class TestThetaCounterfactual:

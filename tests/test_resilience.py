@@ -16,6 +16,8 @@ The acceptance bar for the self-healing service layer:
 """
 
 import dataclasses
+import gc
+import threading
 
 import numpy as np
 import pytest
@@ -481,6 +483,25 @@ class TestRecoveryEquivalence:
         assert rollups.records_skipped >= 1
         recovered.run()
         _assert_equivalent(expected, recovered)
+
+    def test_unrun_recovered_service_holds_no_threads(self, stream_result, tmp_path):
+        """A recovered service that is dropped unrun leaves no threads."""
+        durable = ServiceConfig(
+            chunk_size=32,
+            durability=DurabilityConfig(
+                directory=tmp_path / "state", snapshot_every_samples=64
+            ),
+        )
+        LiveOperationsService(stream_result.database, config=durable).run()
+        baseline = threading.active_count()
+        recovered = LiveOperationsService.recover(
+            stream_result.database, model=_StubModel(), cusum=True, config=durable
+        )
+        assert threading.active_count() == baseline
+        recovered.abort(join_timeout_s=0.1)
+        del recovered
+        gc.collect()
+        assert threading.active_count() == baseline
 
     def test_recover_without_durability_rejected(self, stream_result):
         with pytest.raises(ValueError, match="durability"):

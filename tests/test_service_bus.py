@@ -1,5 +1,7 @@
 """ReplayBus: ordering, pacing, and backpressure policy semantics."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,28 @@ class TestPublishing:
             bus.subscribe("bad", CountingSubscriber(), policy="spill")
         with pytest.raises(ValueError):
             bus.subscribe("bad", CountingSubscriber(), capacity=0)
+
+
+class TestWorkerLifecycle:
+    """Subscriber workers start with ``run``, never in ``subscribe``."""
+
+    def test_unrun_bus_starts_no_threads(self):
+        baseline = threading.active_count()
+        bus = ReplayBus(_rows(5))
+        bus.subscribe("a", CountingSubscriber())
+        bus.subscribe("b", CountingSubscriber(), delivery="chunks")
+        assert threading.active_count() == baseline
+        bus.abort(join_timeout_s=0.1)  # safe on never-started workers
+        assert threading.active_count() == baseline
+
+    def test_workers_exit_after_run(self):
+        baseline = threading.active_count()
+        bus = ReplayBus(_rows(5))
+        counter = CountingSubscriber()
+        bus.subscribe("a", counter)
+        bus.run()
+        assert counter.received == 5
+        assert threading.active_count() == baseline
 
 
 class TestBackpressure:
